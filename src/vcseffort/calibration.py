@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import io
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -93,7 +94,10 @@ def metrics_at(
     1 - |fp - fn| / (tp + fn + fp) rewards compensating errors and is defined
     as 1 when its denominator is zero.
     """
-    tp, fp, fn, tn = confusion_at(theta, counts, labels)
+    return _measures(theta, *confusion_at(theta, counts, labels))
+
+
+def _measures(theta: int, tp: int, fp: int, fn: int, tn: int) -> ThresholdMetrics:
     precision = tp / (tp + fp) if tp + fp else 1.0
     recall = tp / (tp + fn) if tp + fn else 1.0
     total = tp + fp + fn + tn
@@ -116,14 +120,29 @@ def sweep(
     The default upper bound is one past the highest labeled developer's
     activity, so the sweep always reaches the degenerate nobody-is-full-time
     end.
+
+    The labeled counts are sorted once per class, so at each threshold the
+    misses (fn) and true negatives (tn) are the counts below it, found by
+    bisection, and tp and fp are their complements.
     """
     if not labels:
         raise CalibrationError("cannot sweep thresholds without labeled developers")
+    full: list[int] = []
+    other: list[int] = []
+    for label in labels:
+        (full if label.label == LABEL_FULL else other).append(counts.get(label.developer_id, 0))
+    full.sort()
+    other.sort()
     if theta_max is None:
-        theta_max = max(counts.get(label.developer_id, 0) for label in labels) + 1
+        theta_max = max(full[-1:] + other[-1:]) + 1
     if theta_max < 1:
         raise ParameterError(f"theta_max must be >= 1, got {theta_max}")
-    return [metrics_at(theta, counts, labels) for theta in range(1, theta_max + 1)]
+    metrics = []
+    for theta in range(1, theta_max + 1):
+        fn = bisect_left(full, theta)
+        tn = bisect_left(other, theta)
+        metrics.append(_measures(theta, len(full) - fn, len(other) - tn, fn, tn))
+    return metrics
 
 
 def select_theta(

@@ -19,12 +19,16 @@ from .activity import ActivityMatrix
 from .errors import ParameterError
 
 
-def developer_effort(activity: int, theta: int, period_months: int) -> Fraction:
-    """Effort in person-months for one developer in one period."""
+def _check_parameters(theta: int, period_months: int) -> None:
     if theta < 1:
         raise ParameterError(f"theta must be >= 1, got {theta}")
     if period_months < 1:
         raise ParameterError(f"period length must be >= 1, got {period_months}")
+
+
+def developer_effort(activity: int, theta: int, period_months: int) -> Fraction:
+    """Effort in person-months for one developer in one period."""
+    _check_parameters(theta, period_months)
     if activity < 0:
         raise ParameterError(f"activity must be >= 0, got {activity}")
     if activity >= theta:
@@ -56,13 +60,22 @@ def upper_bound(matrix: ActivityMatrix, period_months: int | None = None) -> Fra
 def project_effort(
     matrix: ActivityMatrix, theta: int, period_months: int | None = None
 ) -> EffortReport:
-    """Sum developer efforts per period and overall. An empty matrix yields zero."""
+    """Sum developer efforts per period and overall. An empty matrix yields zero.
+
+    Each period's effort is ``months * weight / theta``, where the integer
+    weight sums ``min(count, theta)`` over its cells: the same exact rational
+    as summing ``developer_effort`` cell by cell, with one Fraction per period.
+    """
     months = matrix.period_months if period_months is None else period_months
-    per_period = {label: Fraction(0) for label in matrix.period_labels}
+    _check_parameters(theta, months)
+    weights = dict.fromkeys(matrix.period_labels, 0)
     for row in matrix.counts.values():
         for label, count in row.items():
-            per_period[label] += developer_effort(count, theta, months)
-    total = sum(per_period.values(), Fraction(0))
+            if count < 0:
+                raise ParameterError(f"activity must be >= 0, got {count}")
+            weights[label] += theta if count >= theta else count
+    per_period = {label: Fraction(months * weight, theta) for label, weight in weights.items()}
+    total = Fraction(months * sum(weights.values()), theta)
     return EffortReport(theta, months, per_period, total, upper_bound(matrix, months))
 
 

@@ -22,6 +22,9 @@ JSONL_REQUIRED_KEYS = ("hash", "author_name", "author_email", "author_timestamp"
 
 DEFAULT_MALFORMED_TOLERANCE = 0.05
 
+# 9999-12-31T23:59:59Z, the last second a UTC date can represent.
+MAX_TIMESTAMP = 253402300799
+
 
 @dataclass(frozen=True)
 class CommitRecord:
@@ -57,6 +60,13 @@ class FilterConfig:
     exclude_merges: bool = False
 
 
+def _check_timestamp(timestamp: int) -> None:
+    if timestamp <= 0:
+        raise ValueError(f"non-positive timestamp {timestamp}")
+    if timestamp > MAX_TIMESTAMP:
+        raise ValueError(f"timestamp {timestamp} is after 9999-12-31T23:59:59Z")
+
+
 def _parse_pipe_line(line: str) -> CommitRecord:
     parts = line.split("|")
     if len(parts) < PIPE_FIELD_COUNT:
@@ -72,8 +82,7 @@ def _parse_pipe_line(line: str) -> CommitRecord:
         timestamp = int(ts_field)
     except ValueError:
         raise ValueError(f"non-integer timestamp {ts_field!r}") from None
-    if timestamp <= 0:
-        raise ValueError(f"non-positive timestamp {timestamp}")
+    _check_timestamp(timestamp)
     if merge_field not in ("0", "1"):
         raise ValueError(f"merge flag must be 0 or 1, got {merge_field!r}")
     if not email and not name:
@@ -102,8 +111,7 @@ def _parse_jsonl_line(line: str) -> CommitRecord:
         raise ValueError("author_name and author_email must be strings")
     if isinstance(timestamp, bool) or not isinstance(timestamp, int):
         raise ValueError("author_timestamp must be an integer")
-    if timestamp <= 0:
-        raise ValueError(f"non-positive timestamp {timestamp}")
+    _check_timestamp(timestamp)
     if not isinstance(is_merge, bool):
         raise ValueError("is_merge must be a boolean")
     if not email and not name:

@@ -16,6 +16,7 @@ from conftest import (
     SELECTED_THETA,
 )
 from vcseffort.calibration import (
+    SELECTION_POLICIES,
     SWEEP_CSV_HEADER,
     ThresholdMetrics,
     confusion_at,
@@ -215,6 +216,30 @@ def test_sweep_matches_brute_force_oracle():
             assert m.f_measure == expected_f
             involved = tp + fn + fp
             assert m.goodness == (1.0 - abs(fp - fn) / involved if involved else 1.0)
+
+
+def test_sweep_matches_per_threshold_oracle():
+    rng = random.Random(5151)
+    for case in range(90):
+        shape = case % 3  # mixed, all full-time, all non-full-time
+        n_full = rng.randrange(1, 8) if shape != 2 else 0
+        n_other = rng.randrange(1, 12) if shape != 1 else 0
+        counts, labels = population(
+            [rng.randrange(0, 40) for _ in range(n_full)],
+            [rng.randrange(0, 40) for _ in range(n_other)],
+        )
+        for absent in rng.sample(labels, rng.randrange(0, len(labels) + 1) // 2):
+            del counts[absent.developer_id]  # labeled but absent: zero activity
+        counts["unlabeled"] = rng.randrange(0, 60)
+        top = max([counts.get(l.developer_id, 0) for l in labels])
+        theta_max = rng.choice([None, 1, top, top + rng.randrange(1, 20)])
+        bound = top + 1 if theta_max is None else theta_max
+
+        metrics = sweep(counts, labels, theta_max)
+        oracle = [metrics_at(theta, counts, labels) for theta in range(1, bound + 1)]
+        assert metrics == oracle
+        for policy in SELECTION_POLICIES:
+            assert select_theta(metrics, policy) == select_theta(oracle, policy)
 
 
 def test_confusion_monotone_in_theta():

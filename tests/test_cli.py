@@ -208,6 +208,28 @@ def test_missing_input_file_is_an_io_error(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_out_of_range_timestamp_is_a_malformed_line(reference_inputs, tmp_path, capsys):
+    log = tmp_path / "late.log"
+    log.write_text(
+        reference_inputs["log"].read_text(encoding="utf-8")
+        + "late01|late@example.org|Late|99999999999999|0\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "est"
+    code, stdout, err = run(
+        ["estimate", "--log", str(log), "--theta", "10", "--alignment", "rolling",
+         *REFERENCE_ARGS, "--out", str(out)],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert "Traceback" not in err
+    assert "(1 malformed)" in stdout
+    assert "total effort 6.60 PM (theta 10, upper bound 8.00 PM)" in stdout
+    run_record = json.loads((out / "run.json").read_text(encoding="utf-8"))
+    assert run_record["result"]["total_pm"] == "6.60"
+    assert run_record["ingest"]["malformed"] == 1
+
+
 def test_excess_malformed_lines_is_io_error(tmp_path, capsys):
     log = tmp_path / "bad.log"
     log.write_text("garbage\nmore garbage\n", encoding="utf-8")

@@ -114,6 +114,47 @@ def test_empty_matrix_is_zero():
     assert report.per_period == {}
 
 
+def test_project_effort_matches_per_cell_oracle():
+    rng = random.Random(4242)
+    for _ in range(80):
+        theta = rng.randrange(1, 12)
+        labels = [f"p{j}" for j in range(rng.randrange(1, 6))]
+        counts = {}
+        for i in range(rng.randrange(0, 10)):
+            # Some periods stay empty; counts cluster around theta so ties occur.
+            row = {
+                label: rng.choice([1, theta - 1, theta, theta + 1, rng.randrange(1, 3 * theta + 2)])
+                for label in rng.sample(labels, rng.randrange(0, len(labels) + 1))
+            }
+            counts[f"d{i}"] = {label: count for label, count in row.items() if count >= 1}
+        matrix = ActivityMatrix("commits", rng.choice([1, 3, 6]), labels, counts)
+        override = rng.choice([None, 1, 4, 12])
+        months = matrix.period_months if override is None else override
+
+        report = project_effort(matrix, theta, override)
+        expected = {
+            label: sum(
+                (developer_effort(row.get(label, 0), theta, months) for row in counts.values()),
+                Fraction(0),
+            )
+            for label in labels
+        }
+        assert report.per_period == expected
+        assert list(report.per_period) == labels
+        assert report.total == sum(expected.values(), Fraction(0))
+        assert report.period_months == months
+        assert report.upper_bound == upper_bound(matrix, months)
+
+
+def test_project_effort_validates_parameters_up_front():
+    with pytest.raises(ParameterError, match="theta"):
+        project_effort(ActivityMatrix("commits", 6, []), 0)
+    with pytest.raises(ParameterError, match="period length"):
+        project_effort(matrix_from({"d": {"p": 3}}), 5, period_months=0)
+    with pytest.raises(ParameterError, match="activity"):
+        project_effort(matrix_from({"d": {"p": -1}}), 5)
+
+
 def test_error_table_zero_baseline_rejected():
     matrix = matrix_from({"d": {"p": 0}}, months=1)
     with pytest.raises(ParameterError, match="zero total effort"):

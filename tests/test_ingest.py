@@ -13,6 +13,7 @@ from vcseffort.ingest import (
     CommitRecord,
     DEFAULT_BOT_PATTERNS,
     FilterConfig,
+    MAX_TIMESTAMP,
     apply_filters,
     load_bot_patterns,
     parse_log_file,
@@ -108,6 +109,30 @@ def test_negative_and_zero_timestamps_rejected():
     result = parse_log_stream(["h1|a@b.c|N|0|0", "h2|a@b.c|N|-5|0"], malformed_tolerance=1.0)
     assert result.records == []
     assert len(result.malformed) == 2
+
+
+def test_pipe_timestamps_past_year_9999_rejected():
+    lines = [
+        f"h1|a@b.c|N|{MAX_TIMESTAMP}|0",
+        f"h2|a@b.c|N|{MAX_TIMESTAMP + 1}|0",
+        "h3|a@b.c|N|99999999999999|0",
+    ]
+    result = parse_log_stream(lines, malformed_tolerance=1.0)
+    assert [r.hash for r in result.records] == ["h1"]
+    assert [m.line_no for m in result.malformed] == [2, 3]
+    assert all("9999-12-31" in m.reason for m in result.malformed)
+
+
+def test_jsonl_timestamps_past_year_9999_rejected():
+    template = (
+        '{{"hash": "{}", "author_name": "N", "author_email": "a@b.c",'
+        ' "author_timestamp": {}, "is_merge": false}}'
+    )
+    lines = [template.format("h1", MAX_TIMESTAMP), template.format("h2", MAX_TIMESTAMP + 1)]
+    result = parse_log_stream(lines, fmt="jsonl", malformed_tolerance=1.0)
+    assert [r.hash for r in result.records] == ["h1"]
+    assert [m.line_no for m in result.malformed] == [2]
+    assert "9999-12-31" in result.malformed[0].reason
 
 
 def test_jsonl_unknown_keys_ignored_and_missing_rejected():

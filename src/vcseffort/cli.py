@@ -76,7 +76,7 @@ _REPORT_FILENAMES = {
 
 @dataclass
 class RunConfig:
-    """Fully resolved options: defaults, then config file, then command-line flags."""
+    """Fully resolved options: defaults, then config file, then flags (declared in build_parser)."""
 
     command: str = ""
     log: str | None = None
@@ -107,82 +107,48 @@ class RunConfig:
     log_format: str = "pipe"
 
 
-def _parse_config_bool(text: str) -> bool:
+def _switch(text: str) -> bool:
+    """A config-file value for a flag that takes no argument."""
     lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
-def _parse_config_date(text: str) -> date:
+def _iso_date(text: str) -> date:
     try:
         return date.fromisoformat(text)
     except ValueError:
-        raise ConfigError(f"expected an ISO date (YYYY-MM-DD), got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected YYYY-MM-DD, got {text!r}") from None
 
 
-def _parse_config_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"expected an integer, got {text!r}") from None
-
-
-def _parse_config_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"expected a number, got {text!r}") from None
-
-
-def _parse_config_cutoffs(text: str) -> tuple[int, ...]:
+def _cutoffs(text: str) -> tuple[int, ...]:
     try:
         values = tuple(int(token.strip()) for token in text.split(",") if token.strip())
     except ValueError:
-        raise ConfigError(f"expected comma-separated integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
     if not values:
-        raise ConfigError("cutoff list is empty")
+        raise argparse.ArgumentTypeError("cutoff list is empty")
     if any(value < 0 for value in values):
-        raise ConfigError("cutoffs must be >= 0")
+        raise argparse.ArgumentTypeError("cutoffs must be >= 0")
     return tuple(sorted(set(values)))
 
 
-def _identity(text: str) -> str:
-    return text
+# No leading underscore: argparse names the function in "invalid <name> value".
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
-_CONFIG_FIELDS: dict[str, tuple[str, Callable[[str], object]]] = {
-    "log": ("log", _identity),
-    "commits": ("commits", _identity),
-    "repo": ("repo", _identity),
-    "period-months": ("period_months", _parse_config_int),
-    "alignment": ("alignment", _identity),
-    "anchor": ("anchor", _parse_config_date),
-    "bots": ("bots", _identity),
-    "exclude-merges": ("exclude_merges", _parse_config_bool),
-    "aliases": ("aliases", _identity),
-    "name-merging": ("name_merging", _parse_config_bool),
-    "survey": ("survey", _identity),
-    "theta": ("theta", _parse_config_int),
-    "theta-max": ("theta_max", _parse_config_int),
-    "metric": ("metric", _identity),
-    "select": ("select", _identity),
-    "format": ("format", _identity),
-    "out": ("out", _identity),
-    "cutoffs": ("cutoffs", _parse_config_cutoffs),
-    "malformed-tolerance": ("malformed_tolerance", _parse_config_float),
-    "seed": ("seed", _parse_config_int),
-    "fulltime": ("fulltime", _parse_config_int),
-    "other": ("other", _parse_config_int),
-    "theta-true": ("theta_true", _parse_config_int),
-    "skew": ("skew", _parse_config_float),
-    "label-noise": ("label_noise", _parse_config_float),
-    "log-format": ("log_format", _identity),
-}
-
-_FLAG_ATTRS = tuple(attr for attr, _ in _CONFIG_FIELDS.values())
+def proportion(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {value}")
+    return value
 
 
 def read_config_file(path: str) -> dict[str, str]:
@@ -198,53 +164,33 @@ def read_config_file(path: str) -> dict[str, str]:
                 if not separator:
                     raise ConfigError(f"config {path} line {line_no}: expected key = value")
                 options[key.strip()] = value.strip()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read config file {path}: {exc}") from exc
     return options
 
 
-def _apply_config_file(config: RunConfig, path: str) -> None:
-    for key, value in read_config_file(path).items():
-        normalized = key.lower().replace("_", "-")
-        if normalized not in _CONFIG_FIELDS:
+def resolve_config(args: argparse.Namespace, options: dict[str, argparse.Action]) -> RunConfig:
+    """Defaults, then the config file, then flags; a file value gets its flag's checks."""
+    config = RunConfig()
+    path = args.config
+    for key, text in (read_config_file(path) if path else {}).items():
+        action = options.get(key.lower().replace("_", "-"))
+        if action is None:
             raise ConfigError(f"config file {path}: unknown option {key!r}")
-        attr, coerce = _CONFIG_FIELDS[normalized]
-        setattr(config, attr, coerce(value))
-
-
-def _validate(config: RunConfig) -> None:
-    if config.alignment not in (ALIGNMENT_CALENDAR, ALIGNMENT_ROLLING):
-        raise ConfigError(f"unknown alignment {config.alignment!r}")
-    if config.metric not in METRICS:
-        raise ConfigError(f"unknown metric {config.metric!r}")
-    if config.select not in SELECTION_POLICIES:
-        raise ConfigError(f"unknown selection policy {config.select!r}")
-    if config.format not in FORMATS:
-        raise ConfigError(f"unknown output format {config.format!r}")
-    if config.log_format not in ("pipe", "jsonl"):
-        raise ConfigError(f"unknown log format {config.log_format!r}")
-    if config.period_months < 1:
-        raise ConfigError(f"period length must be >= 1 month, got {config.period_months}")
-    if config.theta is not None and config.theta < 1:
-        raise ConfigError(f"theta must be >= 1, got {config.theta}")
-    if config.theta_max is not None and config.theta_max < 1:
-        raise ConfigError(f"theta-max must be >= 1, got {config.theta_max}")
-    if not 0.0 <= config.malformed_tolerance <= 1.0:
-        raise ConfigError(
-            f"malformed tolerance must be in [0, 1], got {config.malformed_tolerance}"
-        )
-
-
-def resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig(command=args.command)
-    config_path = getattr(args, "config", None)
-    if config_path:
-        _apply_config_file(config, config_path)
-    for attr in _FLAG_ATTRS:
-        value = getattr(args, attr, None)
-        if value is not None:
-            setattr(config, attr, value)
-    _validate(config)
+        coerce = _switch if action.nargs == 0 else action.type or str
+        try:
+            value = coerce(text)
+        except (argparse.ArgumentTypeError, ValueError) as exc:
+            raise ConfigError(f"config file {path}: {key}: {exc}") from None
+        if action.choices is not None and value not in action.choices:
+            raise ConfigError(
+                f"config file {path}: {key}: invalid choice {value!r} "
+                f"(choose from {', '.join(action.choices)})"
+            )
+        setattr(config, action.dest, value)
+    for dest, value in vars(args).items():
+        if dest != "config" and value is not None:
+            setattr(config, dest, value)
     return config
 
 
@@ -523,121 +469,111 @@ _COMMANDS = {
 }
 
 
-def _cli_date(text: str) -> date:
-    try:
-        return date.fromisoformat(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected YYYY-MM-DD, got {text!r}") from None
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
+    """The CLI parser, and each option's action keyed by its config-file name.
 
-
-def _cli_cutoffs(text: str) -> tuple[int, ...]:
-    try:
-        return _parse_config_cutoffs(text)
-    except ConfigError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
-def build_parser() -> argparse.ArgumentParser:
+    A config-file key is the long flag without ``--``; its value gets the flag's checks.
+    """
     parser = argparse.ArgumentParser(
         prog="vcs-effort",
         description="Estimate development effort in person-months from version control activity.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
+    options: dict[str, argparse.Action] = {}
+
+    def option(group: argparse.ArgumentParser, flag: str, **kwargs) -> None:
+        options[flag.removeprefix("--")] = group.add_argument(flag, **kwargs)
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="plain-text 'key = value' file; flags override it")
-    common.add_argument("--out", help="output directory (default: current directory)")
-    common.add_argument(
-        "--period-months", type=int, dest="period_months", help="period length in months (default 6)"
-    )
-    common.add_argument("--anchor", type=_cli_date, help="anchor date YYYY-MM-DD")
+    option(common, "--out", help="output directory (default: current directory)")
+    option(common, "--period-months", type=positive_int, help="period length in months (default 6)")
+    option(common, "--anchor", type=_iso_date, help="anchor date YYYY-MM-DD")
 
     source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--log", help="pipe-format commit log (hash|email|name|timestamp|merge)")
-    source.add_argument("--commits", help="JSON-lines commit file")
-    source.add_argument("--repo", help="path to a local git repository")
-    source.add_argument(
-        "--bots", help="bot regex file (one pattern per line), or 'default' for the built-in set"
+    option(source, "--log", help="pipe-format commit log (hash|email|name|timestamp|merge)")
+    option(source, "--commits", help="JSON-lines commit file")
+    option(source, "--repo", help="path to a local git repository")
+    option(
+        source, "--bots", help="bot regex file (one pattern per line), or 'default' for the built-in set"
     )
-    source.add_argument(
+    option(
+        source,
         "--exclude-merges",
         action="store_const",
         const=True,
-        dest="exclude_merges",
         help="drop merge commits (kept by default)",
     )
-    source.add_argument("--aliases", help="alias CSV: alias_email_or_name,canonical_email")
-    source.add_argument(
+    option(source, "--aliases", help="alias CSV: alias_email_or_name,canonical_email")
+    option(
+        source,
         "--name-merging",
         action="store_const",
         const=True,
-        dest="name_merging",
         help="also merge identities sharing a normalized author name",
     )
-    source.add_argument("--metric", choices=METRICS, help="activity metric (default commits)")
-    source.add_argument(
+    option(source, "--metric", choices=METRICS, help="activity metric (default commits)")
+    option(
+        source,
         "--malformed-tolerance",
-        type=float,
-        dest="malformed_tolerance",
+        type=proportion,
         help="abort when the malformed line fraction exceeds this (default 0.05)",
     )
+    option(source, "--survey", help="survey CSV (email,self_class,hours_bucket,survey_date,suspect)")
 
-    survey_opts = argparse.ArgumentParser(add_help=False)
-    survey_opts.add_argument("--survey", help="survey CSV (email,self_class,hours_bucket,survey_date,suspect)")
+    thresholds = argparse.ArgumentParser(add_help=False)
+    option(thresholds, "--theta-max", type=positive_int, help="highest threshold to sweep or report")
+    option(thresholds, "--select", choices=SELECTION_POLICIES, help="tie-break policy")
 
-    calibrate = subparsers.add_parser(
+    subparsers.add_parser(
         "calibrate",
-        parents=[common, source, survey_opts],
+        parents=[common, source, thresholds],
         help="sweep thresholds against survey labels and select the best",
     )
-    calibrate.add_argument("--theta-max", type=int, dest="theta_max", help="sweep upper bound")
-    calibrate.add_argument("--select", choices=SELECTION_POLICIES, help="tie-break policy")
 
     estimate = subparsers.add_parser(
         "estimate",
-        parents=[common, source, survey_opts],
+        parents=[common, source, thresholds],
         help="estimate person-month effort at a threshold",
     )
-    estimate.add_argument("--theta", type=int, help="explicit full-time threshold")
-    estimate.add_argument("--theta-max", type=int, dest="theta_max", help="also report thresholds 1..N")
-    estimate.add_argument("--select", choices=SELECTION_POLICIES, help="tie-break policy")
-    estimate.add_argument(
+    option(estimate, "--theta", type=positive_int, help="explicit full-time threshold")
+    option(
+        estimate,
         "--alignment",
         choices=(ALIGNMENT_CALENDAR, ALIGNMENT_ROLLING),
         help="period layout (default calendar half-years)",
     )
-    estimate.add_argument("--format", choices=FORMATS, help="report format (default json)")
+    option(estimate, "--format", choices=FORMATS, help="report format (default json)")
 
     representativeness = subparsers.add_parser(
         "representativeness",
-        parents=[common, source, survey_opts],
+        parents=[common, source],
         help="compare surveyed developers against the population at activity cutoffs",
     )
-    representativeness.add_argument(
-        "--cutoffs", type=_cli_cutoffs, help="comma-separated activity cutoffs"
-    )
+    option(representativeness, "--cutoffs", type=_cutoffs, help="comma-separated activity cutoffs")
 
     synth = subparsers.add_parser(
         "synth",
         parents=[common],
         help="generate a seeded synthetic commit log and survey",
     )
-    synth.add_argument("--seed", type=int, help="random seed (default 0)")
-    synth.add_argument("--fulltime", type=int, help="number of full-time developers")
-    synth.add_argument("--other", type=int, help="number of non-full-time developers")
-    synth.add_argument("--theta-true", type=int, dest="theta_true", help="planted threshold")
-    synth.add_argument("--skew", type=float, help="power-law exponent (default 2.0)")
-    synth.add_argument("--label-noise", type=float, dest="label_noise", help="label flip probability")
-    synth.add_argument("--log-format", choices=("pipe", "jsonl"), dest="log_format")
+    option(synth, "--seed", type=int, help="random seed (default 0)")
+    option(synth, "--fulltime", type=int, help="number of full-time developers")
+    option(synth, "--other", type=int, help="number of non-full-time developers")
+    option(synth, "--theta-true", type=int, help="planted threshold")
+    option(synth, "--skew", type=float, help="power-law exponent (default 2.0)")
+    option(synth, "--label-noise", type=float, help="label flip probability")
+    option(synth, "--log-format", choices=("pipe", "jsonl"))
 
-    return parser
+    return parser, options
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser, options = build_parser()
+    args = parser.parse_args(argv)
     try:
-        config = resolve_config(args)
+        config = resolve_config(args, options)
         return _COMMANDS[config.command](config)
     except IngestionError as exc:
         print(f"error: {exc}", file=sys.stderr)

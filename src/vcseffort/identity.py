@@ -50,7 +50,7 @@ def load_alias_map(path: str) -> AliasMap:
                         f"alias file {path} row {row_no}: expected alias,canonical_email"
                     )
                 directives.append((cells[0], cells[1]))
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read alias file {path}: {exc}") from exc
     return AliasMap(tuple(directives))
 

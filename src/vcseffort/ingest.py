@@ -215,7 +215,7 @@ def load_bot_patterns(path: str) -> tuple[str, ...]:
                 if not line or line.startswith("#"):
                     continue
                 patterns.append(line)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise IngestionError(f"cannot read bot pattern file {path}: {exc}") from exc
     return tuple(patterns)
 

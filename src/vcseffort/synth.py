@@ -47,7 +47,7 @@ class PopulationSpec:
             )
         if not 0.0 <= self.label_noise <= 1.0:
             raise GenerationError(f"label_noise must be in [0, 1], got {self.label_noise}")
-        if self.skew_exponent <= 0:
+        if not self.skew_exponent > 0:
             raise GenerationError(f"skew_exponent must be > 0, got {self.skew_exponent}")
 
 

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import shutil
 import subprocess
 from datetime import date
+from pathlib import Path
 
 import pytest
 
@@ -309,6 +311,140 @@ def test_config_file_unknown_key_rejected(tmp_path, capsys):
     code, _, err = run(["calibrate", "--config", str(config)], capsys)
     assert code == EXIT_CONFIG
     assert "unknown option" in err
+
+
+BAD_OPTION_VALUES = [
+    ("format", "yaml"),
+    ("alignment", "weekly"),
+    ("metric", "lines"),
+    ("theta", "0"),
+    ("period-months", "0"),
+    ("malformed-tolerance", "2"),
+    ("anchor", "2020-13-01"),
+    ("cutoffs", "a,b"),
+    ("exclude-merges", "maybe"),
+]
+
+
+@pytest.mark.parametrize("key,value", BAD_OPTION_VALUES)
+def test_config_value_gets_the_flag_checks(key, value, reference_inputs, tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    code, _, err = run(
+        ["estimate", "--config", str(config), "--log", str(reference_inputs["log"]),
+         "--out", str(tmp_path / "o")],
+        capsys,
+    )
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: config file")
+    assert key in err
+
+
+@pytest.mark.parametrize(
+    "key,value", [(key, value) for key, value in BAD_OPTION_VALUES if key != "exclude-merges"]
+)
+def test_flag_value_gets_the_same_checks(key, value, reference_inputs, tmp_path):
+    command = "representativeness" if key == "cutoffs" else "estimate"
+    with pytest.raises(SystemExit) as excinfo:
+        main(
+            [command, "--log", str(reference_inputs["log"]), f"--{key}", value,
+             "--out", str(tmp_path)]
+        )
+    assert excinfo.value.code == 2
+
+
+def test_config_file_cannot_name_another_config(tmp_path, capsys):
+    config = tmp_path / "run.conf"
+    config.write_text("config = x\n", encoding="utf-8")
+    code, _, err = run(["calibrate", "--config", str(config)], capsys)
+    assert code == EXIT_CONFIG
+    assert "unknown option 'config'" in err
+
+
+def test_run_record_snapshots_every_option(reference_inputs, tmp_path, capsys):
+    # theta, format, cutoffs and seed belong to other subcommands: accepted and recorded.
+    config = tmp_path / "run.conf"
+    config.write_text(
+        f"log = {reference_inputs['log']}\n"
+        f"survey = {reference_inputs['survey']}\n"
+        "period-months = 3\n"
+        "anchor = 2013-02-01\n"
+        "select = max\n"
+        "Theta_Max = 20\n"
+        "name_merging = yes\n"
+        "exclude-merges = off\n"
+        "theta = 7\n"
+        "cutoffs = 4, 0, 4\n"
+        "seed = 5\n"
+        "format = csv\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "cal"
+    code, _, _ = run(
+        ["calibrate", "--config", str(config), "--period-months", "1", "--select", "min",
+         "--out", str(out)],
+        capsys,
+    )
+    assert code == EXIT_OK
+    recorded = json.loads((out / "run.json").read_text(encoding="utf-8"))["config"]
+    assert recorded == {
+        "command": "calibrate",
+        "log": str(reference_inputs["log"]),
+        "commits": None,
+        "repo": None,
+        "period_months": 1,
+        "alignment": "calendar",
+        "anchor": "2013-02-01",
+        "bots": None,
+        "exclude_merges": False,
+        "aliases": None,
+        "name_merging": True,
+        "survey": str(reference_inputs["survey"]),
+        "theta": 7,
+        "theta_max": 20,
+        "metric": "commits",
+        "select": "min",
+        "format": "csv",
+        "out": str(out),
+        "cutoffs": [0, 4],
+        "malformed_tolerance": 0.05,
+        "seed": 5,
+        "fulltime": 10,
+        "other": 100,
+        "theta_true": 10,
+        "skew": 2.0,
+        "label_noise": 0.0,
+        "log_format": "pipe",
+    }
+
+
+@pytest.mark.parametrize("flag", ["config", "bots", "aliases", "survey"])
+def test_undecodable_input_file_is_an_io_error(flag, reference_inputs, tmp_path, capsys):
+    bad = tmp_path / f"{flag}.txt"
+    bad.write_bytes(b"\xe9\n")
+    code, _, err = run(
+        ["calibrate", "--log", str(reference_inputs["log"]),
+         "--survey", str(reference_inputs["survey"]), *REFERENCE_ARGS,
+         "--out", str(tmp_path / "o"), f"--{flag}", str(bad)],  # a repeated --survey: the last wins
+        capsys,
+    )
+    assert code == EXIT_IO
+    assert str(bad) in err
+    assert "Traceback" not in err
+
+
+def test_readme_quickstart_prints_what_it_shows(tmp_path, capsys, monkeypatch):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    # The section's first fenced block is the script, its second what the script prints.
+    blocks = readme.split("### Quickstart", 1)[1].split("```")
+    script, shown = blocks[1].removeprefix("sh\n"), blocks[3].removeprefix("\n")
+    commands = [shlex.split(line) for line in script.replace("\\\n", " ").splitlines()]
+    assert len(commands) == 4 and all(words[0] == "vcs-effort" for words in commands)
+
+    monkeypatch.chdir(tmp_path)
+    for words in commands:
+        assert main(words[1:]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines() == shown.splitlines()
 
 
 def test_bots_and_aliases_affect_the_pipeline(reference_inputs, tmp_path, capsys):

@@ -115,6 +115,7 @@ def test_noise_rate_is_roughly_respected():
         (dict(theta_true=1), "theta_true"),
         (dict(label_noise=1.5), "label_noise"),
         (dict(skew_exponent=0.0), "skew_exponent"),
+        (dict(skew_exponent=float("nan")), "skew_exponent"),
     ],
 )
 def test_invalid_specs_rejected(overrides, message):

@@ -27,6 +27,8 @@ def subtract_months(day: date, months: int) -> date:
     """Calendar-month subtraction with day clamping (Mar 31 - 1 month = Feb 28/29)."""
     total = day.year * 12 + (day.month - 1) - months
     year, month_index = divmod(total, 12)
+    if year < 1:
+        raise ParameterError(f"{months} months before {day.isoformat()} falls before year 1")
     month = month_index + 1
     last_day = calendar.monthrange(year, month)[1]
     return date(year, month, min(day.day, last_day))
@@ -106,6 +108,15 @@ def semester_label(index: int) -> str:
     return f"{year % 100:02d}s{half + 1}"
 
 
+def _semester_start(index: int) -> int:
+    """Epoch seconds at which a half-year begins: the day after the previous one ends.
+
+    ``date`` cannot hold 10000-01-01, the end of the last half-year ingest accepts.
+    """
+    year, half = divmod(index - 1, 2)
+    return date_to_epoch(date(year, 12, 31) if half else date(year, 6, 30)) + 86400
+
+
 def rolling_windows(
     anchor: date, length_months: int, earliest: int
 ) -> list[tuple[str, int, int]]:
@@ -114,19 +125,48 @@ def rolling_windows(
     Windows are returned chronologically, labeled by ISO start date, and cover
     every timestamp from ``earliest`` up to (not including) the anchor.
     """
-    anchor_epoch = date_to_epoch(anchor)
-    if earliest >= anchor_epoch:
-        return []
     windows: list[tuple[str, int, int]] = []
     end = anchor
-    while True:
+    while date_to_epoch(end) > earliest:
         start = subtract_months(end, length_months)
         windows.append((start.isoformat(), date_to_epoch(start), date_to_epoch(end)))
-        if date_to_epoch(start) <= earliest:
-            break
         end = start
-    windows.reverse()
-    return windows
+    return windows[::-1]
+
+
+def _bucket(
+    commits: Iterable[CommitRecord],
+    assignments: Mapping[str, str],
+    bounds: Sequence[int],
+    metric: str,
+) -> tuple[list[dict[str, int]], int]:
+    """In one pass, ``{developer_id: activity}`` for each window ``[bounds[i], bounds[i + 1])``.
+
+    Also returns the number of commits at or after ``bounds[-1]``; commits before
+    ``bounds[0]`` are dropped. An active day is a distinct UTC day, ``timestamp // 86400``.
+    """
+    last = len(bounds) - 1
+    by_day = metric == METRIC_ACTIVE_DAYS
+    windows: list[dict[str, int]] = [{} for _ in range(last)]
+    seen_days: list[set[tuple[str, int]]] = [set() for _ in range(last)]
+    overflow = 0
+    for commit in commits:
+        timestamp = commit.author_timestamp
+        index = bisect_right(bounds, timestamp) - 1
+        if index == last:
+            overflow += 1
+            continue
+        if index < 0:
+            continue
+        developer_id = assignments[commit.hash]
+        if by_day:
+            day = (developer_id, timestamp // 86400)
+            if day in seen_days[index]:
+                continue
+            seen_days[index].add(day)
+        row = windows[index]
+        row[developer_id] = row.get(developer_id, 0) + 1
+    return windows, overflow
 
 
 def aggregate(
@@ -144,46 +184,21 @@ def aggregate(
     if not commits:
         return matrix
 
+    earliest = min(c.author_timestamp for c in commits)
     if spec.alignment == ALIGNMENT_CALENDAR:
-        indices = [semester_index(epoch_to_utc_date(c.author_timestamp)) for c in commits]
-        low, high = min(indices), max(indices)
+        low = semester_index(epoch_to_utc_date(earliest))
+        high = semester_index(epoch_to_utc_date(max(c.author_timestamp for c in commits)))
         matrix.period_labels = [semester_label(i) for i in range(low, high + 1)]
-        labels_by_index = {i: semester_label(i) for i in range(low, high + 1)}
-        label_of = [labels_by_index[i] for i in indices]
-        placements = zip(commits, label_of)
+        bounds = [_semester_start(i) for i in range(low, high + 2)]
     else:
-        earliest = min(c.author_timestamp for c in commits)
         windows = rolling_windows(spec.anchor, spec.length_months, earliest)
         matrix.period_labels = [label for label, _, _ in windows]
-        starts = [start for _, start, _ in windows]
-        anchor_epoch = date_to_epoch(spec.anchor)
-        placed: list[tuple[CommitRecord, str | None]] = []
-        for commit in commits:
-            if commit.author_timestamp >= anchor_epoch:
-                placed.append((commit, None))
-            else:
-                index = bisect_right(starts, commit.author_timestamp) - 1
-                placed.append((commit, windows[index][0]))
-        placements = iter(placed)
+        bounds = [start for _, start, _ in windows] + [date_to_epoch(spec.anchor)]
 
-    if metric == METRIC_COMMITS:
-        for commit, label in placements:
-            if label is None:
-                matrix.overflow_commits += 1
-                continue
-            row = matrix.counts.setdefault(assignments[commit.hash], {})
-            row[label] = row.get(label, 0) + 1
-    else:
-        day_sets: dict[tuple[str, str], set[date]] = {}
-        for commit, label in placements:
-            if label is None:
-                matrix.overflow_commits += 1
-                continue
-            key = (assignments[commit.hash], label)
-            day_sets.setdefault(key, set()).add(epoch_to_utc_date(commit.author_timestamp))
-        for (developer_id, label), days in day_sets.items():
-            matrix.counts.setdefault(developer_id, {})[label] = len(days)
-
+    per_window, matrix.overflow_commits = _bucket(commits, assignments, bounds, metric)
+    for label, row in zip(matrix.period_labels, per_window):
+        for developer_id, count in row.items():
+            matrix.counts.setdefault(developer_id, {})[label] = count
     return matrix
 
 
@@ -199,22 +214,6 @@ def activity_in_window(
         raise ParameterError(f"window length must be >= 1 month, got {length_months}")
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
-    start_epoch = date_to_epoch(subtract_months(window_end, length_months))
-    end_epoch = date_to_epoch(window_end)
-
-    if metric == METRIC_COMMITS:
-        counts: dict[str, int] = {}
-        for commit in commits:
-            if start_epoch <= commit.author_timestamp < end_epoch:
-                developer_id = assignments[commit.hash]
-                counts[developer_id] = counts.get(developer_id, 0) + 1
-        return counts
-
-    days: dict[str, set[date]] = {}
-    for commit in commits:
-        if start_epoch <= commit.author_timestamp < end_epoch:
-            developer_id = assignments[commit.hash]
-            days.setdefault(developer_id, set()).add(
-                epoch_to_utc_date(commit.author_timestamp)
-            )
-    return {developer_id: len(dates) for developer_id, dates in days.items()}
+    bounds = [date_to_epoch(subtract_months(window_end, length_months)), date_to_epoch(window_end)]
+    (counts,), _ = _bucket(commits, assignments, bounds, metric)
+    return counts

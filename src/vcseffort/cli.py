@@ -155,7 +155,7 @@ def read_config_file(path: str) -> dict[str, str]:
     """Read ``key = value`` lines; blank lines and #-comments are ignored."""
     options: dict[str, str] = {}
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for line_no, raw in enumerate(handle, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -265,7 +265,8 @@ def _build_roster(config: RunConfig, commits):
     return resolve_identities(commits, aliases, config.name_merging)
 
 
-def _survey_labels(config: RunConfig, roster):
+def _survey_labels(config: RunConfig, commits, assignments, roster):
+    """Survey labels, and each developer's activity in the window that ends at the survey."""
     if not config.survey:
         raise ConfigError(f"{config.command} requires --survey")
     responses = load_survey(config.survey)
@@ -275,7 +276,9 @@ def _survey_labels(config: RunConfig, roster):
     if not labels:
         raise CalibrationError("no survey response matched the developer roster")
     window_end = config.anchor or max(response.survey_date for response in responses)
-    return responses, labels, exclusions, window_end
+    return labels, exclusions, window_end, activity_in_window(
+        commits, assignments, window_end, config.period_months, config.metric
+    )
 
 
 def _tally(items: Sequence, key: Callable[[object], str]) -> dict[str, int]:
@@ -303,10 +306,7 @@ def _selection_payload(
 
 
 def _calibrate_flow(config: RunConfig, commits, assignments, roster):
-    responses, labels, exclusions, window_end = _survey_labels(config, roster)
-    counts = activity_in_window(
-        commits, assignments, window_end, config.period_months, config.metric
-    )
+    labels, exclusions, window_end, counts = _survey_labels(config, commits, assignments, roster)
     metrics = sweep(counts, labels, config.theta_max)
     selection = select_theta(metrics, config.select)
     full = sum(1 for label in labels if label.label == LABEL_FULL)
@@ -341,6 +341,8 @@ def cmd_calibrate(config: RunConfig) -> int:
 def cmd_estimate(config: RunConfig) -> int:
     if (config.theta is None) == (config.survey is None):
         raise ConfigError("estimate requires exactly one of --theta or --survey")
+    spec = PeriodSpec(config.period_months, config.alignment, config.anchor)
+    spec.validate()
     commits, ingest_info = _load_commits(config)
     assignments, roster = _build_roster(config, commits)
 
@@ -358,7 +360,6 @@ def cmd_estimate(config: RunConfig) -> int:
             selection, labels, exclusions, window_end, metrics[-1].theta
         )
 
-    spec = PeriodSpec(config.period_months, config.alignment, config.anchor)
     matrix = aggregate(commits, assignments, spec, config.metric)
 
     thetas = list(range(1, config.theta_max + 1)) if config.theta_max else []
@@ -403,10 +404,7 @@ def cmd_estimate(config: RunConfig) -> int:
 def cmd_representativeness(config: RunConfig) -> int:
     commits, ingest_info = _load_commits(config)
     assignments, roster = _build_roster(config, commits)
-    responses, labels, exclusions, window_end = _survey_labels(config, roster)
-    counts = activity_in_window(
-        commits, assignments, window_end, config.period_months, config.metric
-    )
+    labels, exclusions, window_end, counts = _survey_labels(config, commits, assignments, roster)
     all_counts = {developer.developer_id: counts.get(developer.developer_id, 0) for developer in roster}
     surveyed_counts = {label.developer_id: all_counts[label.developer_id] for label in labels}
     rows = representativeness_table(all_counts, surveyed_counts, config.cutoffs)

@@ -36,7 +36,7 @@ def load_alias_map(path: str) -> AliasMap:
     """Read alias directives from a two-column CSV; an optional header row is skipped."""
     directives: list[tuple[str, str]] = []
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             for row_no, row in enumerate(csv.reader(handle), start=1):
                 if not row or not any(cell.strip() for cell in row):
                     continue

@@ -178,7 +178,7 @@ def parse_log_file(
     malformed_tolerance: float = DEFAULT_MALFORMED_TOLERANCE,
 ) -> ParseResult:
     try:
-        with open(path, encoding="utf-8", errors="replace") as handle:
+        with open(path, encoding="utf-8-sig", errors="replace") as handle:
             return parse_log_stream(handle, fmt, malformed_tolerance)
     except OSError as exc:
         raise IngestionError(f"cannot read {path}: {exc}") from exc
@@ -209,7 +209,7 @@ def load_bot_patterns(path: str) -> tuple[str, ...]:
     """Read one regular expression per line; blank lines and #-comment lines are skipped."""
     patterns = []
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             for raw in handle:
                 line = raw.strip()
                 if not line or line.startswith("#"):

@@ -62,7 +62,7 @@ def load_survey(path: str) -> list[SurveyResponse]:
     """Read survey responses from CSV with the exact five-column header."""
     responses = []
     try:
-        with open(path, encoding="utf-8", newline="") as handle:
+        with open(path, encoding="utf-8-sig", newline="") as handle:
             reader = csv.reader(handle)
             try:
                 header = next(reader)

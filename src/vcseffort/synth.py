@@ -182,9 +182,9 @@ def write_fixture(
     """
     if log_format not in ("pipe", "jsonl"):
         raise GenerationError(f"unknown log format {log_format!r}")
+    window_start = subtract_months(anchor, period_months)
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    window_start = subtract_months(anchor, period_months)
     records = _fixture_records(population, window_start, anchor)
 
     log_path = directory / ("commits.log" if log_format == "pipe" else "commits.jsonl")

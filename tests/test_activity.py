@@ -253,3 +253,145 @@ def test_calendar_aggregate_matches_date_oracle():
         # Labels run contiguously from the earliest to the latest semester.
         assert len(matrix.period_labels) == len(set(matrix.period_labels))
         assert matrix.total() == len(commits)
+
+
+def _random_commits(rng: random.Random, low: int, high: int, developers: int = 4):
+    return [
+        commit(i, rng.randrange(low, high), f"d{rng.randrange(developers)}@x.org")
+        for i in range(rng.randrange(1, 80))
+    ]
+
+
+def _day_oracle(commits, label_of) -> dict[tuple[str, str], int]:
+    """Distinct UTC dates per (developer, period), from ``epoch_to_utc_date``."""
+    days: dict[tuple[str, str], set[date]] = {}
+    for c in commits:
+        label = label_of(c.author_timestamp)
+        if label is not None:
+            key = (c.author_email, label)
+            days.setdefault(key, set()).add(epoch_to_utc_date(c.author_timestamp))
+    return {key: len(dates) for key, dates in days.items()}
+
+
+def _assert_matrix_equals(matrix, expected: dict[tuple[str, str], int]) -> None:
+    found = {
+        (developer_id, label): count
+        for developer_id, row in matrix.counts.items()
+        for label, count in row.items()
+    }
+    assert found == expected
+
+
+def test_calendar_active_days_match_date_oracle():
+    rng = random.Random(4242)
+    for _ in range(30):
+        # Forty days around the July 1 boundary, so that many commits share a day.
+        commits = _random_commits(rng, ts(2013, 6, 10), ts(2013, 7, 20))
+        matrix = aggregate(
+            commits, simple_assignments(commits), PeriodSpec(), METRIC_ACTIVE_DAYS
+        )
+
+        def label_of(timestamp):
+            day = epoch_to_utc_date(timestamp)
+            return f"{day.year % 100:02d}s{1 if day.month <= 6 else 2}"
+
+        _assert_matrix_equals(matrix, _day_oracle(commits, label_of))
+        assert matrix.overflow_commits == 0
+
+
+def test_rolling_active_days_match_date_oracle():
+    rng = random.Random(2424)
+    for _ in range(30):
+        anchor = date(2014, rng.randrange(1, 13), rng.choice([1, 15, 28]))
+        months = rng.choice([1, 2])
+        anchor_epoch = date_to_epoch(anchor)
+        commits = _random_commits(rng, anchor_epoch - 70 * 86400, anchor_epoch + 10 * 86400)
+        matrix = aggregate(
+            commits,
+            simple_assignments(commits),
+            PeriodSpec(months, "rolling", anchor),
+            METRIC_ACTIVE_DAYS,
+        )
+
+        def label_of(timestamp):
+            end = anchor
+            while date_to_epoch(end) > timestamp:
+                start = subtract_months(end, months)
+                if _window_contains(start, end, timestamp):
+                    return start.isoformat()
+                end = start
+            return None  # at or after the anchor
+
+        _assert_matrix_equals(matrix, _day_oracle(commits, label_of))
+        assert matrix.overflow_commits == sum(
+            1 for c in commits if c.author_timestamp >= anchor_epoch
+        )
+
+
+def test_activity_in_window_matches_interval_oracle():
+    rng = random.Random(9090)
+    for _ in range(40):
+        end = date(rng.randrange(2012, 2016), rng.randrange(1, 13), rng.choice([1, 15, 28]))
+        months = rng.choice([1, 3, 6, 12])
+        start_epoch = date_to_epoch(subtract_months(end, months))
+        end_epoch = date_to_epoch(end)
+        commits = _random_commits(rng, start_epoch - 90 * 86400, end_epoch + 90 * 86400)
+        commits.append(commit(998, start_epoch, "first-instant@x.org"))
+        commits.append(commit(999, end_epoch, "window-end@x.org"))
+        assignments = simple_assignments(commits)
+
+        inside = [c for c in commits if start_epoch <= c.author_timestamp < end_epoch]
+        expected_commits: dict[str, int] = {}
+        for c in inside:
+            expected_commits[c.author_email] = expected_commits.get(c.author_email, 0) + 1
+        expected_days = {
+            email: len({epoch_to_utc_date(c.author_timestamp) for c in inside if c.author_email == email})
+            for email in expected_commits
+        }
+        assert activity_in_window(commits, assignments, end, months) == expected_commits
+        assert (
+            activity_in_window(commits, assignments, end, months, METRIC_ACTIVE_DAYS)
+            == expected_days
+        )
+
+
+def test_commit_order_does_not_change_buckets():
+    rng = random.Random(5150)
+    anchor = date(2014, 3, 15)
+    commits = _random_commits(rng, ts(2012, 1, 1), ts(2014, 6, 1), developers=6)
+    assignments = simple_assignments(commits)
+    specs = [PeriodSpec(), PeriodSpec(2, "rolling", anchor)]
+    for metric in ("commits", METRIC_ACTIVE_DAYS):
+        matrices = [aggregate(commits, assignments, spec, metric) for spec in specs]
+        window = activity_in_window(commits, assignments, anchor, 6, metric)
+        for _ in range(5):
+            shuffled = list(commits)
+            rng.shuffle(shuffled)
+            for spec, matrix in zip(specs, matrices):
+                again = aggregate(shuffled, assignments, spec, metric)
+                assert again.period_labels == matrix.period_labels
+                assert again.counts == matrix.counts
+                assert again.overflow_commits == matrix.overflow_commits
+                assert again.to_csv() == matrix.to_csv()
+            assert activity_in_window(shuffled, assignments, anchor, 6, metric) == window
+
+
+def test_last_accepted_timestamp_lands_in_last_half_year():
+    last = 253402300799  # 9999-12-31T23:59:59Z, the largest timestamp ingest accepts
+    commits = [commit(1, last), commit(2, last - 150 * 86400)]
+    for metric in ("commits", METRIC_ACTIVE_DAYS):
+        matrix = aggregate(commits, simple_assignments(commits), PeriodSpec(), metric)
+        assert matrix.period_labels == ["99s2"]
+        assert matrix.cell("a@x.org", "99s2") == 2
+        assert matrix.overflow_commits == 0
+
+
+def test_window_start_before_year_one_is_a_parameter_error():
+    assert subtract_months(date(1, 7, 31), 6) == date(1, 1, 31)
+    with pytest.raises(ParameterError, match="before year 1"):
+        subtract_months(date(1, 6, 30), 6)
+    with pytest.raises(ParameterError):
+        activity_in_window([], {}, date(2013, 1, 1), 100000)
+    commits = [commit(1, ts(2013, 1, 5))]
+    with pytest.raises(ParameterError):
+        aggregate(commits, simple_assignments(commits), PeriodSpec(30000, "rolling", date(2020, 1, 1)))

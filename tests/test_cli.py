@@ -7,6 +7,7 @@ import os
 import shlex
 import shutil
 import subprocess
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -14,6 +15,7 @@ import pytest
 
 from conftest import REFERENCE_ACTIVITIES, write_reference_inputs
 from vcseffort.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from vcseffort.ingest import parse_log_file, to_jsonl_line
 from vcseffort.stats import REPRESENTATIVENESS_CSV_HEADER
 
 
@@ -585,3 +587,106 @@ def test_calendar_estimate_over_reference_log(reference_inputs, tmp_path, capsys
     assert code == EXIT_OK
     activity = (out / "activity.csv").read_text(encoding="utf-8")
     assert "d1@example.org,13s1,12" in activity
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["calibrate", "--anchor", "0001-01-01"],
+        ["calibrate", "--period-months", "100000"],
+        ["estimate", "--alignment", "rolling", "--anchor", "2020-01-01", "--period-months", "30000"],
+        ["synth", "--anchor", "0001-03-01"],
+    ],
+)
+def test_window_before_year_one_is_a_config_error(args, reference_inputs, tmp_path, capsys):
+    if args[0] == "synth":
+        inputs = []
+    elif args[0] == "estimate":
+        inputs = ["--log", str(reference_inputs["log"]), "--theta", "10"]
+    else:
+        inputs = ["--log", str(reference_inputs["log"]), "--survey", str(reference_inputs["survey"])]
+    code, _, err = run([*args, *inputs, "--out", str(tmp_path / "o")], capsys)
+    assert code == EXIT_CONFIG
+    assert err.startswith("error: ") and "before year 1" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "layout,message",
+    [
+        (["--period-months", "5"], "6-month periods"),
+        (["--alignment", "rolling"], "requires an anchor"),
+    ],
+)
+def test_bad_period_layout_fails_before_ingest(layout, message, reference_inputs, tmp_path, capsys):
+    code, stdout, err = run(
+        ["estimate", "--log", str(reference_inputs["log"]), "--theta", "10", *layout,
+         "--out", str(tmp_path / "o")],
+        capsys,
+    )
+    assert code == EXIT_CONFIG
+    assert message in err
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("bom_input", ["commits", "survey", "config", "aliases", "bots"])
+def test_byte_order_mark_is_ignored(bom_input, reference_inputs, tmp_path, capsys):
+    records = parse_log_file(str(reference_inputs["log"])).records
+    texts = {
+        "commits": "".join(to_jsonl_line(record) + "\n" for record in records)
+        + '{"author_email": "ci@bots.org", "author_name": "Build Bot", '
+        '"author_timestamp": 1357040000, "hash": "botc1", "is_merge": false}\n',
+        "survey": reference_inputs["survey"].read_text(encoding="utf-8"),
+        "config": "theta-max = 13\nselect = max\n",
+        "aliases": "d8@example.org,d4@example.org\n",
+        "bots": "bot\n",
+    }
+
+    def estimate(name: str, bom: str) -> tuple[int, str, str]:
+        directory = tmp_path / name
+        directory.mkdir()
+        flags = []
+        for flag, text in texts.items():
+            path = directory / f"{flag}.txt"
+            path.write_text((bom if flag == bom_input else "") + text, encoding="utf-8")
+            flags += [f"--{flag}", str(path)]
+        return run(
+            ["estimate", *flags, "--alignment", "rolling", *REFERENCE_ARGS,
+             "--out", str(directory / "out")],
+            capsys,
+        )
+
+    plain = estimate("plain", "")
+    assert plain[0] == EXIT_OK
+    assert "parsed 73 commits (0 malformed); excluded 1 bot, 0 merge" in plain[1]
+    assert "exclusions: 1" in plain[1]  # d8's response is a duplicate of d4 once merged
+    assert "total effort 6.27 PM (theta 11, upper bound 7.00 PM)" in plain[1]  # select = max
+    assert estimate("bom", "\ufeff") == plain
+
+
+def test_outputs_do_not_depend_on_hash_seed(reference_inputs, tmp_path):
+    log, survey = str(reference_inputs["log"]), str(reference_inputs["survey"])
+    commands = {
+        "estimate": ["estimate", "--log", log, "--survey", survey, "--theta-max", "13",
+                     "--alignment", "rolling", *REFERENCE_ARGS, "--name-merging",
+                     "--bots", "default", "--metric", "active-days"],
+        "calibrate": ["calibrate", "--log", log, "--survey", survey, *REFERENCE_ARGS,
+                      "--theta-max", "13"],
+    }
+    src = Path(__file__).resolve().parents[1] / "src"
+    for name, args in commands.items():
+        runs = []
+        for seed in ("0", "1"):
+            cwd = tmp_path / f"{name}-{seed}"
+            cwd.mkdir()
+            env = dict(os.environ, PYTHONHASHSEED=seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+            result = subprocess.run(
+                [sys.executable, "-m", "vcseffort.cli", *args, "--out", "out"],
+                cwd=cwd, env=env, capture_output=True, check=True,
+            )
+            files = {path.name: path.read_bytes() for path in sorted((cwd / "out").iterdir())}
+            runs.append((result.stdout, files))
+        assert runs[0][1], name
+        assert runs[0] == runs[1], name

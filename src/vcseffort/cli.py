@@ -314,21 +314,17 @@ def _calibrate_flow(config: RunConfig, commits, assignments, roster):
         f"labels: {len(labels)} (full-time {full}, non-full-time {len(labels) - full}); "
         f"exclusions: {len(exclusions)}"
     )
-    return metrics, selection, labels, exclusions, window_end
+    payload = _selection_payload(selection, labels, exclusions, window_end, metrics[-1].theta)
+    return metrics, selection, payload
 
 
 def cmd_calibrate(config: RunConfig) -> int:
     commits, ingest_info = _load_commits(config)
     assignments, roster = _build_roster(config, commits)
-    metrics, selection, labels, exclusions, window_end = _calibrate_flow(
-        config, commits, assignments, roster
-    )
+    metrics, selection, payload = _calibrate_flow(config, commits, assignments, roster)
     out = _out_dir(config)
     _write_text(out / "sweep.csv", sweep_to_csv(metrics))
-    _write_json(
-        out / "selection.json",
-        _selection_payload(selection, labels, exclusions, window_end, metrics[-1].theta),
-    )
+    _write_json(out / "selection.json", payload)
     _write_run_record(config, {"result": {"selected_theta": selection.selected_theta}, "ingest": ingest_info})
     low, high = selection.argmax_range
     print(
@@ -351,14 +347,9 @@ def cmd_estimate(config: RunConfig) -> int:
         theta = config.theta
         provenance = "explicit"
     else:
-        metrics, selection, labels, exclusions, window_end = _calibrate_flow(
-            config, commits, assignments, roster
-        )
+        _, selection, calibration_payload = _calibrate_flow(config, commits, assignments, roster)
         theta = selection.selected_theta
         provenance = "calibrated"
-        calibration_payload = _selection_payload(
-            selection, labels, exclusions, window_end, metrics[-1].theta
-        )
 
     matrix = aggregate(commits, assignments, spec, config.metric)
 
@@ -376,6 +367,7 @@ def cmd_estimate(config: RunConfig) -> int:
 
     out = _out_dir(config)
     _write_text(out / "activity.csv", matrix.to_csv())
+    # Built per call: perfbench/tracer.py times the renderers by rebinding these names.
     renderers = {
         FORMAT_JSON: render_json,
         FORMAT_CSV: render_csv,
@@ -573,10 +565,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = resolve_config(args, options)
         return _COMMANDS[config.command](config)
-    except IngestionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
+    except (IngestionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except VcsEffortError as exc:

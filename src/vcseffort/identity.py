@@ -15,8 +15,9 @@ from .ingest import CommitRecord
 class AliasMap:
     """Explicit merge directives: (alias email-or-name, canonical email) pairs.
 
-    Directives override heuristics and force the alias into the canonical
-    email's group. Matching against aliases is case-insensitive.
+    Directives add merges to the heuristic ones: every observed pair whose
+    email or raw name equals an alias, compared case-insensitively, joins the
+    canonical email's group.
     """
 
     directives: tuple[tuple[str, str], ...] = ()
@@ -79,8 +80,8 @@ class _UnionFind:
             self.parent[root_b] = root_a
 
 
-def _checked_directives(aliases: AliasMap) -> list[tuple[str, str]]:
-    lowered: list[tuple[str, str]] = []
+def _checked_directives(aliases: AliasMap) -> dict[str, str]:
+    """Map each lowercased alias to its lowercased canonical email."""
     canonical_for: dict[str, str] = {}
     for alias, canonical in aliases.directives:
         token = alias.lower()
@@ -91,8 +92,7 @@ def _checked_directives(aliases: AliasMap) -> list[tuple[str, str]]:
                 f"alias {alias!r} maps to both {previous!r} and {target!r}"
             )
         canonical_for[token] = target
-        lowered.append((token, target))
-    return lowered
+    return canonical_for
 
 
 def resolve_identities(
@@ -102,58 +102,49 @@ def resolve_identities(
 ) -> tuple[dict[str, str], list[CanonicalDeveloper]]:
     """Group observed (name, email) pairs into canonical developers.
 
-    Pairs merge when they share a non-empty lowercased email, when
-    ``name_merging`` is on and they share a normalized name, or when an alias
-    directive forces them together. The developer id is the lexicographically
-    smallest email in the group (directive canonical emails included), or
-    ``name:<smallest raw name>`` for groups with no email at all.
+    Each pair joins the group of every merge key it has: its non-empty
+    lowercased email, its normalized name when ``name_merging`` is on, and the
+    canonical email of any alias directive naming its lowercased email or raw
+    name. The developer id is the lexicographically smallest email in the
+    group (directive canonical emails included), or ``name:<smallest raw
+    name>`` for groups with no email at all.
 
     Returns (commit hash -> developer id, roster sorted by developer id).
     """
-    directives = _checked_directives(aliases or AliasMap())
-
-    pairs: list[tuple[str, str]] = []
-    seen_pairs: set[tuple[str, str]] = set()
+    canonical_for = _checked_directives(aliases or AliasMap())
+    pairs: dict[tuple[str, str], None] = {}
     for commit in commits:
-        pair = (commit.author_name, commit.author_email)
-        if pair not in seen_pairs:
-            seen_pairs.add(pair)
-            pairs.append(pair)
+        pairs[commit.author_name, commit.author_email] = None
 
     uf = _UnionFind()
     for name, email in pairs:
         node = ("pair", name, email)
         uf.find(node)
+        lowered = email.lower()
         if email:
-            uf.union(("email", email.lower()), node)
+            uf.union(("email", lowered), node)
         if name_merging:
             normalized = normalize_name(name)
             if normalized:
                 uf.union(("name", normalized), node)
-
-    directive_emails: dict[object, set[str]] = {}
-    for token, canonical in directives:
-        target = ("email", canonical)
-        uf.find(target)
-        directive_emails.setdefault(target, set()).add(canonical)
-        for name, email in pairs:
-            if email.lower() == token or name.lower() == token:
-                uf.union(target, ("pair", name, email))
+        for token in (lowered, name.lower()):
+            canonical = canonical_for.get(token)
+            if canonical is not None:
+                uf.union(("email", canonical), node)
 
     groups: dict[object, list[tuple[str, str]]] = {}
     for name, email in pairs:
         groups.setdefault(uf.find(("pair", name, email)), []).append((name, email))
+    emails: dict[object, set[str]] = {}
+    for node in uf.parent:
+        if node[0] == "email":
+            emails.setdefault(uf.find(node), set()).add(node[1])
 
     group_of_pair: dict[tuple[str, str], str] = {}
     roster: list[CanonicalDeveloper] = []
     for root, members in groups.items():
-        emails = {email.lower() for _, email in members if email}
-        for target, canonicals in directive_emails.items():
-            if uf.find(target) == root:
-                emails.update(canonicals)
-        if emails:
-            developer_id = min(emails)
-            primary_email = developer_id
+        if root in emails:
+            developer_id = primary_email = min(emails[root])
         else:
             developer_id = "name:" + min(name for name, _ in members)
             primary_email = ""

@@ -109,6 +109,11 @@ def _parse_jsonl_line(line: str) -> CommitRecord:
         raise ValueError("hash must be a non-empty string")
     if not isinstance(name, str) or not isinstance(email, str):
         raise ValueError("author_name and author_email must be strings")
+    if not (name.isascii() and email.isascii()):
+        try:
+            (name + email).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("author_name or author_email is not valid UTF-8 text") from None
     if isinstance(timestamp, bool) or not isinstance(timestamp, int):
         raise ValueError("author_timestamp must be an integer")
     _check_timestamp(timestamp)
@@ -258,7 +263,9 @@ def read_repository_log(repo_path: str) -> list[str]:
     """Extract pipe-format lines from a local git repository.
 
     The merge flag is derived from the parent count of each commit; author
-    timestamps are epoch seconds and therefore timezone-free.
+    timestamps are epoch seconds and therefore timezone-free. The log is read
+    as UTF-8 whatever the repository's output encoding, and undecodable bytes
+    are replaced, as in ``parse_log_file``.
     """
     command = [
         "git",
@@ -266,10 +273,13 @@ def read_repository_log(repo_path: str) -> list[str]:
         repo_path,
         "log",
         "--no-color",
+        "--encoding=UTF-8",
         f"--pretty=format:{GIT_PRETTY_FORMAT}",
     ]
     try:
-        result = subprocess.run(command, capture_output=True, text=True, check=True)
+        result = subprocess.run(
+            command, capture_output=True, encoding="utf-8", errors="replace", check=True
+        )
     except FileNotFoundError as exc:
         raise IngestionError("git executable not found") from exc
     except subprocess.CalledProcessError as exc:

@@ -234,6 +234,27 @@ def test_out_of_range_timestamp_is_a_malformed_line(reference_inputs, tmp_path, 
     assert run_record["ingest"]["malformed"] == 1
 
 
+def test_jsonl_lone_surrogate_is_a_malformed_line(reference_inputs, tmp_path, capsys):
+    records = parse_log_file(str(reference_inputs["log"])).records
+    lines = [to_jsonl_line(record) for record in records]
+    # With no email the name becomes the developer id, which activity.csv must encode.
+    bad = lines[3].replace(records[3].hash, "surrogate01")
+    bad = bad.replace(json.dumps(records[3].author_name), '"\\ud800x"')
+    lines.insert(3, bad.replace(json.dumps(records[3].author_email), '""'))
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "est"
+    code, stdout, err = run(
+        ["estimate", "--commits", str(commits), "--theta", "10", "--alignment", "rolling",
+         *REFERENCE_ARGS, "--out", str(out)],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert err == ""
+    assert f"parsed {len(records)} commits (1 malformed)" in stdout
+    assert (out / "activity.csv").exists()
+
+
 def test_excess_malformed_lines_is_io_error(tmp_path, capsys):
     log = tmp_path / "bad.log"
     log.write_text("garbage\nmore garbage\n", encoding="utf-8")

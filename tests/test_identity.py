@@ -256,3 +256,79 @@ def test_resolution_is_deterministic():
     first = resolve_identities(commits, name_merging=True)
     second = resolve_identities(commits, name_merging=True)
     assert first == second
+
+
+def _oracle_naming(component, directives):
+    """Developer id of a component: smallest email it holds, else the smallest raw name."""
+    emails = {email.lower() for _, email in component if email}
+    for token, canonical in directives:
+        if any(email.lower() == token or name.lower() == token for name, email in component):
+            emails.add(canonical)
+    if emails:
+        return min(emails), min(emails)
+    return "name:" + min(name for name, _ in component), ""
+
+
+def _check_naming_against_oracle(commits, directives, name_merging):
+    assignments, roster = resolve_identities(commits, AliasMap(directives), name_merging)
+    pairs = list(dict.fromkeys((c.author_name, c.author_email) for c in commits))
+    lowered = tuple((a.lower(), b.lower()) for a, b in directives)
+    components = _oracle_components(pairs, lowered, name_merging)
+    by_id = {developer.developer_id: developer for developer in roster}
+    assert len(by_id) == len(roster) == len(components)
+    for component in components:
+        developer_id, primary_email = _oracle_naming(component, lowered)
+        developer = by_id[developer_id]
+        assert developer.primary_email == primary_email
+        assert developer.aliases == frozenset(component)
+    for c in commits:
+        pair = (c.author_name, c.author_email)
+        assert assignments[c.hash] == next(
+            dev.developer_id for dev in roster if pair in dev.aliases
+        )
+    return roster
+
+
+def test_naming_matches_oracle():
+    """Each group's id and primary email follow the naming rule, directives included."""
+    rng = random.Random(5151)
+    names = ["Ada", "ADA", "Björn", "bjorn", "Cleo", "Dee", ""]
+    emails = ["a@x.org", "A@X.ORG", "b@x.org", "d@x.org", ""]
+    directive_pool = [
+        ("ada", "z@x.org"),
+        ("b@x.org", "c@x.org"),
+        ("D@x.org", "y@x.org"),
+        ("dee", "w@x.org"),
+        ("cleo", "0@x.org"),
+        ("nobody", "n@x.org"),
+    ]
+    for _ in range(80):
+        commits = []
+        for i in range(rng.randrange(1, 25)):
+            name = rng.choice(names)
+            email = rng.choice(emails)
+            if not name and not email:
+                name = "fallback"
+            commits.append(commit(i, name, email))
+        directives = tuple(d for d in directive_pool if rng.random() < 0.5)
+        _check_naming_against_oracle(commits, directives, rng.random() < 0.5)
+
+
+def test_pair_matched_by_email_and_name_directives_takes_both_canonicals():
+    commits = [commit(1, "Dee", "d@x.org"), commit(2, "Eve", "e@x.org")]
+    by_email = ("D@X.org", "c@x.org")
+    by_name = ("dee", "b@x.org")
+    roster = _check_naming_against_oracle(commits, (by_email, by_name), False)
+    assert [(dev.developer_id, dev.aliases) for dev in roster] == [
+        ("b@x.org", frozenset({("Dee", "d@x.org")})),
+        ("e@x.org", frozenset({("Eve", "e@x.org")})),
+    ]
+    roster = _check_naming_against_oracle(commits, (by_email,), False)
+    assert [dev.developer_id for dev in roster] == ["c@x.org", "e@x.org"]
+
+
+def test_directive_matching_no_pair_adds_no_developer():
+    commits = [commit(1, "Dee", "d@x.org"), commit(2, "Nameless", "")]
+    directives = (("nobody", "a@x.org"), ("ghost@x.org", "b@x.org"))
+    roster = _check_naming_against_oracle(commits, directives, True)
+    assert [dev.developer_id for dev in roster] == ["d@x.org", "name:Nameless"]

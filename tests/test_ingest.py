@@ -276,3 +276,34 @@ def test_read_repository_log_missing_repo(tmp_path):
         pytest.skip("git not installed")
     with pytest.raises(IngestionError, match="git log failed"):
         read_repository_log(str(tmp_path / "not-a-repo"))
+
+
+def test_jsonl_lone_surrogate_is_malformed():
+    good = to_jsonl_line(make_record(1))
+    bad = good.replace('"Ada Author"', '"Ada \\udc80"')
+    result = parse_log_stream([good, bad.replace("hash0001", "hash0002")], "jsonl", 1.0)
+    assert len(result.records) == 1
+    assert [m.line_no for m in result.malformed] == [2]
+    assert "UTF-8" in result.malformed[0].reason
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
+def test_read_repository_log_ignores_log_output_encoding(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    identity = ["-c", "user.name=José", "-c", "user.email=jose@example.org"]
+
+    def git(*args):
+        subprocess.run(
+            ["git", *identity, "-C", str(repo), *args], check=True, capture_output=True
+        )
+
+    git("init", "-q")
+    git("config", "i18n.logOutputEncoding", "latin1")
+    (repo / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "first")
+
+    result = parse_log_stream(read_repository_log(str(repo)))
+    assert result.malformed == []
+    assert [r.author_name for r in result.records] == ["José"]

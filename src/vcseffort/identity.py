@@ -51,7 +51,7 @@ def load_alias_map(path: str) -> AliasMap:
                         f"alias file {path} row {row_no}: expected alias,canonical_email"
                     )
                 directives.append((cells[0], cells[1]))
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IngestionError(f"cannot read alias file {path}: {exc}") from exc
     return AliasMap(tuple(directives))
 
@@ -107,7 +107,8 @@ def resolve_identities(
     canonical email of any alias directive naming its lowercased email or raw
     name. The developer id is the lexicographically smallest email in the
     group (directive canonical emails included), or ``name:<smallest raw
-    name>`` for groups with no email at all.
+    name>`` for groups with no email at all; should that equal another
+    group's email, the first free ``#2``, ``#3``, ... suffix is appended.
 
     Returns (commit hash -> developer id, roster sorted by developer id).
     """
@@ -140,14 +141,30 @@ def resolve_identities(
         if node[0] == "email":
             emails.setdefault(uf.find(node), set()).add(node[1])
 
+    ids: dict[object, str] = {}
+    for root, members in groups.items():
+        if root in emails:
+            ids[root] = min(emails[root])
+        else:
+            ids[root] = "name:" + min(name for name, _ in members)
+    # An email such as "name:bob" can equal an email-less group's id. Such a
+    # group takes the first "#2", "#3", ... suffix that is no group's id. Two
+    # groups' suffixed ids differ because their unsuffixed ids do, so neither
+    # the order of the groups nor the suffixes already given matter.
+    email_ids = {ids[root] for root in emails}
+    taken = set(ids.values())
+    for root, developer_id in ids.items():
+        if root not in emails and developer_id in email_ids:
+            suffix = 2
+            while f"{developer_id}#{suffix}" in taken:
+                suffix += 1
+            ids[root] = f"{developer_id}#{suffix}"
+
     group_of_pair: dict[tuple[str, str], str] = {}
     roster: list[CanonicalDeveloper] = []
     for root, members in groups.items():
-        if root in emails:
-            developer_id = primary_email = min(emails[root])
-        else:
-            developer_id = "name:" + min(name for name, _ in members)
-            primary_email = ""
+        developer_id = ids[root]
+        primary_email = developer_id if root in emails else ""
         roster.append(CanonicalDeveloper(developer_id, primary_email, frozenset(members)))
         for pair in members:
             group_of_pair[pair] = developer_id

@@ -6,7 +6,7 @@ import json
 import re
 import subprocess
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ConfigError, IngestionError
 
@@ -26,9 +26,12 @@ DEFAULT_MALFORMED_TOLERANCE = 0.05
 MAX_TIMESTAMP = 253402300799
 
 
-@dataclass(frozen=True)
-class CommitRecord:
-    """One version-control change, attributed to its author (committers are ignored)."""
+class CommitRecord(NamedTuple):
+    """One version-control change, attributed to its author (committers are ignored).
+
+    A named tuple, not a dataclass: ingest builds one per line, and a tuple is
+    the cheapest immutable record to build.
+    """
 
     hash: str
     author_name: str
@@ -95,6 +98,8 @@ def _parse_jsonl_line(line: str) -> CommitRecord:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ValueError(f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ValueError("JSON line is not an object")
     for key in JSONL_REQUIRED_KEYS:
@@ -241,18 +246,27 @@ def apply_filters(
     """Drop bot-authored and (optionally) merge commits.
 
     Returns (kept, bot_excluded, merge_excluded); the three partition the input.
-    Bot matching is case-insensitive over both author name and email.
+    Bot matching is case-insensitive over both author name and email. The
+    verdict depends only on the (name, email) pair, so the patterns run once
+    per distinct pair.
     """
     patterns = compile_bot_patterns(config.bot_patterns)
+    is_bot: dict[tuple[str, str], bool] = {}
     kept: list[CommitRecord] = []
     bots = 0
     merges = 0
     for commit in commits:
-        if patterns and any(
-            p.search(commit.author_name) or p.search(commit.author_email) for p in patterns
-        ):
-            bots += 1
-        elif config.exclude_merges and commit.is_merge:
+        if patterns:
+            author = commit.author_name, commit.author_email
+            verdict = is_bot.get(author)
+            if verdict is None:
+                verdict = is_bot[author] = any(
+                    p.search(author[0]) or p.search(author[1]) for p in patterns
+                )
+            if verdict:
+                bots += 1
+                continue
+        if config.exclude_merges and commit.is_merge:
             merges += 1
         else:
             kept.append(commit)

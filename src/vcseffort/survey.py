@@ -106,7 +106,7 @@ def load_survey(path: str) -> list[SurveyResponse]:
                         f"survey file {path} row {row_no}: bad suspect flag {suspect!r}"
                     )
                 responses.append(SurveyResponse(email, self_class, hours, when, flagged))
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IngestionError(f"cannot read survey file {path}: {exc}") from exc
     return responses
 

@@ -711,3 +711,40 @@ def test_outputs_do_not_depend_on_hash_seed(reference_inputs, tmp_path):
             runs.append((result.stdout, files))
         assert runs[0][1], name
         assert runs[0] == runs[1], name
+
+
+def test_deeply_nested_json_line_is_a_malformed_line(reference_inputs, tmp_path, capsys):
+    records = parse_log_file(str(reference_inputs["log"])).records
+    lines = [to_jsonl_line(record) for record in records]
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text("\n".join([*lines, "[" * 200_000]) + "\n", encoding="utf-8")
+    code, stdout, err = run(
+        ["estimate", "--commits", str(commits), "--theta", "10", "--alignment", "rolling",
+         *REFERENCE_ARGS, "--out", str(tmp_path / "est")],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert err == ""
+    assert f"parsed {len(records)} commits (1 malformed)" in stdout
+
+
+@pytest.mark.parametrize(
+    "flag, command",
+    [
+        ("survey", ["calibrate"]),
+        ("aliases", ["estimate", "--theta", "10", "--alignment", "rolling"]),
+    ],
+)
+def test_oversized_csv_field_is_an_io_error(flag, command, reference_inputs, tmp_path, capsys):
+    big = tmp_path / f"{flag}.csv"
+    header = "email,self_class,hours_bucket,survey_date,suspect\n" if flag == "survey" else ""
+    big.write_text(header + "x" * 200_000 + "@example.org,full,,2013-02-01,\n", encoding="utf-8")
+    code, _, err = run(
+        [*command, "--log", str(reference_inputs["log"]), *REFERENCE_ARGS,
+         "--out", str(tmp_path / "o"), f"--{flag}", str(big)],
+        capsys,
+    )
+    assert code == EXIT_IO
+    assert str(big) in err
+    assert "field larger than field limit" in err
+    assert "Traceback" not in err

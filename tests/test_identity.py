@@ -332,3 +332,87 @@ def test_directive_matching_no_pair_adds_no_developer():
     directives = (("nobody", "a@x.org"), ("ghost@x.org", "b@x.org"))
     roster = _check_naming_against_oracle(commits, directives, True)
     assert [dev.developer_id for dev in roster] == ["d@x.org", "name:Nameless"]
+
+
+def _oracle_ids(components, directives):
+    """Each component's (id, primary email) once ids that clash are told apart.
+
+    Only an email-less component can clash, with a component holding the email
+    ``name:<its smallest raw name>``. Such a component gets the smallest n >= 2
+    for which ``<id>#<n>`` is no component's unsuffixed id.
+    """
+    named = [_oracle_naming(component, directives) for component in components]
+    email_ids = {developer_id for developer_id, primary in named if primary}
+    unsuffixed = {developer_id for developer_id, _ in named}
+    ids = []
+    for developer_id, primary in named:
+        if not primary and developer_id in email_ids:
+            candidates = (f"{developer_id}#{n}" for n in range(2, len(named) + 2))
+            developer_id = next(c for c in candidates if c not in unsuffixed)
+        ids.append((developer_id, primary))
+    return ids
+
+
+def _check_ids_against_oracle(commits, directives, name_merging):
+    assignments, roster = resolve_identities(commits, AliasMap(directives), name_merging)
+    pairs = list(dict.fromkeys((c.author_name, c.author_email) for c in commits))
+    lowered = tuple((a.lower(), b.lower()) for a, b in directives)
+    components = _oracle_components(pairs, lowered, name_merging)
+    expected = sorted(
+        (developer_id, primary, frozenset(component))
+        for component, (developer_id, primary) in zip(components, _oracle_ids(components, lowered))
+    )
+    assert [(dev.developer_id, dev.primary_email, dev.aliases) for dev in roster] == expected
+    for c in commits:
+        pair = (c.author_name, c.author_email)
+        assert assignments[c.hash] == next(
+            dev.developer_id for dev in roster if pair in dev.aliases
+        )
+    return assignments, roster
+
+
+def test_email_spelled_like_a_name_id_does_not_merge_two_developers():
+    commits = [commit(1, "X", "name:bob"), commit(2, "bob", "")]
+    assignments, roster = _check_ids_against_oracle(commits, (), False)
+    assert assignments == {"h1": "name:bob", "h2": "name:bob#2"}
+    assert [(dev.developer_id, dev.primary_email) for dev in roster] == [
+        ("name:bob", "name:bob"),
+        ("name:bob#2", ""),
+    ]
+    # The suffix skips every id in use, whichever order the commits come in.
+    commits.append(commit(3, "bob#2", ""))
+    for order in (commits, commits[::-1], commits[1:] + commits[:1]):
+        assignments, _ = _check_ids_against_oracle(order, (), False)
+        assert assignments == {"h1": "name:bob", "h2": "name:bob#3", "h3": "name:bob#2"}
+    commits += [commit(4, "Y", "name:bob#2"), commit(5, "Z", "name:bob#4")]
+    for order in (commits, commits[::-1], commits[1::2] + commits[::2]):
+        assignments, _ = _check_ids_against_oracle(order, (), False)
+        assert assignments == {
+            "h1": "name:bob", "h2": "name:bob#3", "h3": "name:bob#2#2",
+            "h4": "name:bob#2", "h5": "name:bob#4",
+        }
+
+
+def test_ids_stay_distinct_and_match_oracle():
+    """Ids are unique and follow the naming rule, with suffixes only on clashes."""
+    rng = random.Random(6262)
+    names = ["bob", "Bob", "bob#2", "ada", "ADA", "Cleo", ""]
+    emails = ["name:bob", "NAME:BOB", "name:bob#2", "name:ada", "name:cleo", "a@x.org", ""]
+    directive_pool = [("cleo", "name:Cleo"), ("a@x.org", "name:bob#3"), ("ada", "z@x.org")]
+    for _ in range(150):
+        commits = []
+        for i in range(rng.randrange(1, 20)):
+            name = rng.choice(names)
+            email = rng.choice(emails)
+            if not name and not email:
+                name = "fallback"
+            commits.append(commit(i, name, email))
+        directives = tuple(d for d in directive_pool if rng.random() < 0.4)
+        name_merging = rng.random() < 0.5
+        assignments, roster = _check_ids_against_oracle(commits, directives, name_merging)
+        assert len({dev.developer_id for dev in roster}) == len(roster)
+        shuffled = commits[:]
+        rng.shuffle(shuffled)
+        assert resolve_identities(shuffled, AliasMap(directives), name_merging) == (
+            assignments, roster
+        )

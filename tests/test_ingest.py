@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+import re
 import shutil
 import subprocess
+from typing import get_type_hints
 
 import pytest
 
@@ -307,3 +309,61 @@ def test_read_repository_log_ignores_log_output_encoding(tmp_path):
     result = parse_log_stream(read_repository_log(str(repo)))
     assert result.malformed == []
     assert [r.author_name for r in result.records] == ["José"]
+
+
+def test_deeply_nested_json_line_is_malformed():
+    lines = [to_jsonl_line(make_record(i)) for i in range(200)]
+    result = parse_log_stream([*lines, "[" * 200_000], "jsonl")
+    assert len(result.records) == 200
+    assert [(m.line_no, m.reason) for m in result.malformed] == [
+        (201, "invalid JSON: nested too deeply")
+    ]
+
+
+def test_bot_verdict_per_author_matches_per_commit_recount():
+    """Filtering equals a per-commit regex recount, whatever the patterns."""
+    rng = random.Random(6061)
+    names = ["Ada", "RoBot", "roBot", "Bot Team", "build bot", "Jenkins", "Anna", "Lee", ""]
+    emails = ["a@x.y", "bb@x.y", "ci@x.y", "Bot@x.y", "ee-ee@x.y", ""]
+    # A backreference and a scoped inline flag keep their meaning per pattern.
+    pattern_pool = [r"\bbot\b", r"(?-i:Bot)", r"(\w)\1@", r"^(\w+)-\1@", "jenkins"]
+    for _ in range(100):
+        commits = [
+            CommitRecord(f"h{i}", rng.choice(names), rng.choice(emails), i + 1, rng.random() < 0.3)
+            for i in range(rng.randrange(0, 60))
+        ]
+        patterns = tuple(p for p in pattern_pool if rng.random() < 0.5)
+        exclude_merges = rng.random() < 0.5
+        kept, bots, merges = apply_filters(commits, FilterConfig(patterns, exclude_merges))
+
+        compiled = [re.compile(p, re.IGNORECASE) for p in patterns]
+        expected_kept, expected_bots, expected_merges = [], 0, 0
+        for c in commits:
+            if any(p.search(c.author_name) or p.search(c.author_email) for p in compiled):
+                expected_bots += 1
+            elif exclude_merges and c.is_merge:
+                expected_merges += 1
+            else:
+                expected_kept.append(c)
+        assert kept == expected_kept
+        assert (bots, merges) == (expected_bots, expected_merges)
+
+
+def test_commit_record_public_surface():
+    assert list(get_type_hints(CommitRecord).items()) == [
+        ("hash", str),
+        ("author_name", str),
+        ("author_email", str),
+        ("author_timestamp", int),
+        ("is_merge", bool),
+    ]
+    assert CommitRecord("h1", "Ada", "a@x.y", 5).is_merge is False
+    record = CommitRecord(
+        hash="h1", author_name="Ada", author_email="a@x.y", author_timestamp=5, is_merge=True
+    )
+    assert record == CommitRecord("h1", "Ada", "a@x.y", 5, True)
+    assert len({record, CommitRecord("h1", "Ada", "a@x.y", 5, True)}) == 1
+    # A named tuple: iterable, and equal to the plain tuple of its fields.
+    assert tuple(record) == ("h1", "Ada", "a@x.y", 5, True) == record
+    with pytest.raises(AttributeError):
+        record.hash = "h2"

@@ -10,10 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
+from collections import Counter
 from datetime import date
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import __version__
 from .activity import (
@@ -62,49 +62,10 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
 
-FORMAT_JSON = "json"
-FORMAT_CSV = "csv"
-FORMAT_MARKDOWN = "markdown"
-FORMATS = (FORMAT_JSON, FORMAT_CSV, FORMAT_MARKDOWN)
+_REPORT_FILENAMES = {"json": "report.json", "csv": "report.csv", "markdown": "report.md"}
 
-_REPORT_FILENAMES = {
-    FORMAT_JSON: "report.json",
-    FORMAT_CSV: "report.csv",
-    FORMAT_MARKDOWN: "report.md",
-}
-
-
-@dataclass
-class RunConfig:
-    """Fully resolved options: defaults, then config file, then flags (declared in build_parser)."""
-
-    command: str = ""
-    log: str | None = None
-    commits: str | None = None
-    repo: str | None = None
-    period_months: int = 6
-    alignment: str = ALIGNMENT_CALENDAR
-    anchor: date | None = None
-    bots: str | None = None
-    exclude_merges: bool = False
-    aliases: str | None = None
-    name_merging: bool = False
-    survey: str | None = None
-    theta: int | None = None
-    theta_max: int | None = None
-    metric: str = METRIC_COMMITS
-    select: str = SELECT_LOWER_MEDIAN
-    format: str = FORMAT_JSON
-    out: str = "."
-    cutoffs: tuple[int, ...] = DEFAULT_CUTOFFS
-    malformed_tolerance: float = DEFAULT_MALFORMED_TOLERANCE
-    seed: int = 0
-    fulltime: int = 10
-    other: int = 100
-    theta_true: int = 10
-    skew: float = 2.0
-    label_noise: float = 0.0
-    log_format: str = "pipe"
+# Config-file key -> (the option's argparse action, its default); filled by build_parser.
+Registry = dict[str, tuple[argparse.Action, object]]
 
 
 def _switch(text: str) -> bool:
@@ -169,14 +130,18 @@ def read_config_file(path: str) -> dict[str, str]:
     return options
 
 
-def resolve_config(args: argparse.Namespace, options: dict[str, argparse.Action]) -> RunConfig:
-    """Defaults, then the config file, then flags; a file value gets its flag's checks."""
-    config = RunConfig()
+def resolve_config(args: argparse.Namespace, options: Registry) -> argparse.Namespace:
+    """Defaults, then the config file, then flags; a file value gets its flag's checks.
+
+    The subcommand comes in with the flags: argparse always sets it.
+    """
+    config = argparse.Namespace(**{action.dest: default for action, default in options.values()})
     path = args.config
     for key, text in (read_config_file(path) if path else {}).items():
-        action = options.get(key.lower().replace("_", "-"))
-        if action is None:
-            raise ConfigError(f"config file {path}: unknown option {key!r}")
+        try:
+            action, _ = options[key.lower().replace("_", "-")]
+        except KeyError:
+            raise ConfigError(f"config file {path}: unknown option {key!r}") from None
         coerce = _switch if action.nargs == 0 else action.type or str
         try:
             value = coerce(text)
@@ -194,11 +159,12 @@ def resolve_config(args: argparse.Namespace, options: dict[str, argparse.Action]
     return config
 
 
-def config_snapshot(config: RunConfig) -> dict:
-    snapshot = asdict(config)
-    snapshot["anchor"] = config.anchor.isoformat() if config.anchor else None
-    snapshot["cutoffs"] = list(config.cutoffs)
-    return snapshot
+def config_snapshot(config: argparse.Namespace) -> dict:
+    return {
+        **vars(config),
+        "anchor": config.anchor.isoformat() if config.anchor else None,
+        "cutoffs": list(config.cutoffs),
+    }
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -209,13 +175,13 @@ def _write_json(path: Path, payload: object) -> None:
     _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _out_dir(config: RunConfig) -> Path:
+def _out_dir(config: argparse.Namespace) -> Path:
     directory = Path(config.out)
     directory.mkdir(parents=True, exist_ok=True)
     return directory
 
 
-def _write_run_record(config: RunConfig, extras: dict) -> None:
+def _write_run_record(config: argparse.Namespace, extras: dict) -> None:
     payload = {
         "version": __version__,
         "command": config.command,
@@ -225,7 +191,7 @@ def _write_run_record(config: RunConfig, extras: dict) -> None:
     _write_json(_out_dir(config) / "run.json", payload)
 
 
-def _load_commits(config: RunConfig):
+def _load_commits(config: argparse.Namespace):
     sources = [source for source in (config.log, config.commits, config.repo) if source]
     if len(sources) != 1:
         raise ConfigError("exactly one of --log, --commits, or --repo is required")
@@ -260,12 +226,12 @@ def _load_commits(config: RunConfig):
     return kept, ingest_info
 
 
-def _build_roster(config: RunConfig, commits):
+def _build_roster(config: argparse.Namespace, commits):
     aliases = load_alias_map(config.aliases) if config.aliases else AliasMap()
     return resolve_identities(commits, aliases, config.name_merging)
 
 
-def _survey_labels(config: RunConfig, commits, assignments, roster):
+def _survey_labels(config: argparse.Namespace, commits, assignments, roster):
     """Survey labels, and each developer's activity in the window that ends at the survey."""
     if not config.survey:
         raise ConfigError(f"{config.command} requires --survey")
@@ -281,14 +247,6 @@ def _survey_labels(config: RunConfig, commits, assignments, roster):
     )
 
 
-def _tally(items: Sequence, key: Callable[[object], str]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for item in items:
-        name = key(item)
-        counts[name] = counts.get(name, 0) + 1
-    return counts
-
-
 def _selection_payload(
     selection: ThetaSelection, labels, exclusions, window_end: date, theta_max: int
 ) -> dict:
@@ -300,12 +258,12 @@ def _selection_payload(
         "policy": selection.policy,
         "theta_max": theta_max,
         "window_end": window_end.isoformat(),
-        "label_counts": _tally(labels, lambda label: label.label),
-        "exclusion_counts": _tally(exclusions, lambda exclusion: exclusion.reason),
+        "label_counts": Counter(label.label for label in labels),
+        "exclusion_counts": Counter(exclusion.reason for exclusion in exclusions),
     }
 
 
-def _calibrate_flow(config: RunConfig, commits, assignments, roster):
+def _calibrate_flow(config: argparse.Namespace, commits, assignments, roster):
     labels, exclusions, window_end, counts = _survey_labels(config, commits, assignments, roster)
     metrics = sweep(counts, labels, config.theta_max)
     selection = select_theta(metrics, config.select)
@@ -318,7 +276,7 @@ def _calibrate_flow(config: RunConfig, commits, assignments, roster):
     return metrics, selection, payload
 
 
-def cmd_calibrate(config: RunConfig) -> int:
+def cmd_calibrate(config: argparse.Namespace) -> int:
     commits, ingest_info = _load_commits(config)
     assignments, roster = _build_roster(config, commits)
     metrics, selection, payload = _calibrate_flow(config, commits, assignments, roster)
@@ -334,7 +292,7 @@ def cmd_calibrate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_estimate(config: RunConfig) -> int:
+def cmd_estimate(config: argparse.Namespace) -> int:
     if (config.theta is None) == (config.survey is None):
         raise ConfigError("estimate requires exactly one of --theta or --survey")
     spec = PeriodSpec(config.period_months, config.alignment, config.anchor)
@@ -368,11 +326,7 @@ def cmd_estimate(config: RunConfig) -> int:
     out = _out_dir(config)
     _write_text(out / "activity.csv", matrix.to_csv())
     # Built per call: perfbench/tracer.py times the renderers by rebinding these names.
-    renderers = {
-        FORMAT_JSON: render_json,
-        FORMAT_CSV: render_csv,
-        FORMAT_MARKDOWN: render_markdown,
-    }
+    renderers = {"json": render_json, "csv": render_csv, "markdown": render_markdown}
     _write_text(
         out / _REPORT_FILENAMES[config.format], renderers[config.format](reports, theta, errors)
     )
@@ -393,7 +347,7 @@ def cmd_estimate(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_representativeness(config: RunConfig) -> int:
+def cmd_representativeness(config: argparse.Namespace) -> int:
     commits, ingest_info = _load_commits(config)
     assignments, roster = _build_roster(config, commits)
     labels, exclusions, window_end, counts = _survey_labels(config, commits, assignments, roster)
@@ -421,7 +375,7 @@ def cmd_representativeness(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_synth(config: RunConfig) -> int:
+def cmd_synth(config: argparse.Namespace) -> int:
     spec = PopulationSpec(
         n_fulltime=config.fulltime,
         n_other=config.other,
@@ -459,10 +413,11 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]:
-    """The CLI parser, and each option's action keyed by its config-file name.
+def build_parser() -> tuple[argparse.ArgumentParser, Registry]:
+    """The CLI parser, and each option's action and default keyed by its config-file name.
 
     A config-file key is the long flag without ``--``; its value gets the flag's checks.
+    Every option declared here is recorded in ``run.json``; ``--config`` is not.
     """
     parser = argparse.ArgumentParser(
         prog="vcs-effort",
@@ -470,15 +425,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subparsers = parser.add_subparsers(dest="command", required=True)
-    options: dict[str, argparse.Action] = {}
+    options: Registry = {}
 
-    def option(group: argparse.ArgumentParser, flag: str, **kwargs) -> None:
-        options[flag.removeprefix("--")] = group.add_argument(flag, **kwargs)
+    def option(group: argparse.ArgumentParser, flag: str, default: object = None, **kwargs) -> None:
+        # argparse keeps None as its default, so resolve_config can tell which flags were given.
+        options[flag.removeprefix("--")] = group.add_argument(flag, **kwargs), default
 
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="plain-text 'key = value' file; flags override it")
-    option(common, "--out", help="output directory (default: current directory)")
-    option(common, "--period-months", type=positive_int, help="period length in months (default 6)")
+    option(common, "--out", default=".", help="output directory (default: current directory)")
+    option(
+        common, "--period-months", default=6, type=positive_int,
+        help="period length in months (default 6)",
+    )
     option(common, "--anchor", type=_iso_date, help="anchor date YYYY-MM-DD")
 
     source = argparse.ArgumentParser(add_help=False)
@@ -489,32 +448,30 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]
         source, "--bots", help="bot regex file (one pattern per line), or 'default' for the built-in set"
     )
     option(
-        source,
-        "--exclude-merges",
-        action="store_const",
-        const=True,
+        source, "--exclude-merges", default=False, action="store_const", const=True,
         help="drop merge commits (kept by default)",
     )
     option(source, "--aliases", help="alias CSV: alias_email_or_name,canonical_email")
     option(
-        source,
-        "--name-merging",
-        action="store_const",
-        const=True,
+        source, "--name-merging", default=False, action="store_const", const=True,
         help="also merge identities sharing a normalized author name",
     )
-    option(source, "--metric", choices=METRICS, help="activity metric (default commits)")
     option(
-        source,
-        "--malformed-tolerance",
-        type=proportion,
+        source, "--metric", default=METRIC_COMMITS, choices=METRICS,
+        help="activity metric (default commits)",
+    )
+    option(
+        source, "--malformed-tolerance", default=DEFAULT_MALFORMED_TOLERANCE, type=proportion,
         help="abort when the malformed line fraction exceeds this (default 0.05)",
     )
     option(source, "--survey", help="survey CSV (email,self_class,hours_bucket,survey_date,suspect)")
 
     thresholds = argparse.ArgumentParser(add_help=False)
     option(thresholds, "--theta-max", type=positive_int, help="highest threshold to sweep or report")
-    option(thresholds, "--select", choices=SELECTION_POLICIES, help="tie-break policy")
+    option(
+        thresholds, "--select", default=SELECT_LOWER_MEDIAN, choices=SELECTION_POLICIES,
+        help="tie-break policy",
+    )
 
     subparsers.add_parser(
         "calibrate",
@@ -529,32 +486,37 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Action]]
     )
     option(estimate, "--theta", type=positive_int, help="explicit full-time threshold")
     option(
-        estimate,
-        "--alignment",
+        estimate, "--alignment", default=ALIGNMENT_CALENDAR,
         choices=(ALIGNMENT_CALENDAR, ALIGNMENT_ROLLING),
         help="period layout (default calendar half-years)",
     )
-    option(estimate, "--format", choices=FORMATS, help="report format (default json)")
+    option(
+        estimate, "--format", default="json", choices=tuple(_REPORT_FILENAMES),
+        help="report format (default json)",
+    )
 
     representativeness = subparsers.add_parser(
         "representativeness",
         parents=[common, source],
         help="compare surveyed developers against the population at activity cutoffs",
     )
-    option(representativeness, "--cutoffs", type=_cutoffs, help="comma-separated activity cutoffs")
+    option(
+        representativeness, "--cutoffs", default=DEFAULT_CUTOFFS, type=_cutoffs,
+        help="comma-separated activity cutoffs",
+    )
 
     synth = subparsers.add_parser(
         "synth",
         parents=[common],
         help="generate a seeded synthetic commit log and survey",
     )
-    option(synth, "--seed", type=int, help="random seed (default 0)")
-    option(synth, "--fulltime", type=int, help="number of full-time developers")
-    option(synth, "--other", type=int, help="number of non-full-time developers")
-    option(synth, "--theta-true", type=int, help="planted threshold")
-    option(synth, "--skew", type=float, help="power-law exponent (default 2.0)")
-    option(synth, "--label-noise", type=float, help="label flip probability")
-    option(synth, "--log-format", choices=("pipe", "jsonl"))
+    option(synth, "--seed", default=0, type=int, help="random seed (default 0)")
+    option(synth, "--fulltime", default=10, type=int, help="number of full-time developers")
+    option(synth, "--other", default=100, type=int, help="number of non-full-time developers")
+    option(synth, "--theta-true", default=10, type=int, help="planted threshold")
+    option(synth, "--skew", default=2.0, type=float, help="power-law exponent (default 2.0)")
+    option(synth, "--label-noise", default=0.0, type=float, help="label flip probability")
+    option(synth, "--log-format", default="pipe", choices=("pipe", "jsonl"))
 
     return parser, options
 

@@ -81,10 +81,12 @@ def _parse_pipe_line(line: str) -> CommitRecord:
     name = "|".join(parts[2:-2])
     if not commit_hash:
         raise ValueError("empty hash field")
-    try:
-        timestamp = int(ts_field)
-    except ValueError:
-        raise ValueError(f"non-integer timestamp {ts_field!r}") from None
+    # ASCII digits with an optional "-": int() would also take spaces, "_", "+" and other scripts.
+    if not ts_field.isascii() or not (
+        ts_field.isdigit() or ts_field[:1] == "-" and ts_field[1:].isdigit()
+    ):
+        raise ValueError(f"non-integer timestamp {ts_field!r}")
+    timestamp = int(ts_field)
     _check_timestamp(timestamp)
     if merge_field not in ("0", "1"):
         raise ValueError(f"merge flag must be 0 or 1, got {merge_field!r}")

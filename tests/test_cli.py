@@ -441,6 +441,50 @@ def test_run_record_snapshots_every_option(reference_inputs, tmp_path, capsys):
     }
 
 
+DEFAULT_CONFIG = {  # every option but "command"
+    "log": None,
+    "commits": None,
+    "repo": None,
+    "period_months": 6,
+    "alignment": "calendar",
+    "anchor": None,
+    "bots": None,
+    "exclude_merges": False,
+    "aliases": None,
+    "name_merging": False,
+    "survey": None,
+    "theta": None,
+    "theta_max": None,
+    "metric": "commits",
+    "select": "lower-median",
+    "format": "json",
+    "out": ".",
+    "cutoffs": [0, 1, 2, 3, 4, 5, 8, 11],
+    "malformed_tolerance": 0.05,
+    "seed": 0,
+    "fulltime": 10,
+    "other": 100,
+    "theta_true": 10,
+    "skew": 2.0,
+    "label_noise": 0.0,
+    "log_format": "pipe",
+}
+
+
+@pytest.mark.parametrize("command", ["estimate", "synth"])
+def test_run_record_fills_in_every_default(command, reference_inputs, tmp_path, capsys, monkeypatch):
+    # No config file and no optional flags: every option the run did not name is its default.
+    monkeypatch.chdir(tmp_path)
+    given = {"log": str(reference_inputs["log"]), "theta": 9} if command == "estimate" else {}
+    argv = [command]
+    for key, value in given.items():
+        argv += [f"--{key}", str(value)]
+    code, _, err = run(argv, capsys)
+    assert code == EXIT_OK, err
+    recorded = json.loads((tmp_path / "run.json").read_text(encoding="utf-8"))["config"]
+    assert recorded == {"command": command, **DEFAULT_CONFIG, **given}
+
+
 @pytest.mark.parametrize("flag", ["config", "bots", "aliases", "survey"])
 def test_undecodable_input_file_is_an_io_error(flag, reference_inputs, tmp_path, capsys):
     bad = tmp_path / f"{flag}.txt"

@@ -113,6 +113,25 @@ def test_negative_and_zero_timestamps_rejected():
     assert len(result.malformed) == 2
 
 
+@pytest.mark.parametrize(
+    "field",
+    ["1_600_000_000", " 1600000000", "1600000000 ", "+1600000000", "１６" + "0" * 8,
+     "١٦" + "0" * 8, "-", "", "--5", "1e9", "0x5f5e1000"],
+)
+def test_pipe_timestamp_is_ascii_digits(field):
+    result = parse_log_stream([f"h1|a@b.c|N|{field}|0"], malformed_tolerance=1.0)
+    assert result.records == []
+    assert result.malformed[0].reason == f"non-integer timestamp {field!r}"
+
+
+def test_non_positive_pipe_timestamps_keep_their_reason():
+    result = parse_log_stream(["h1|a@b.c|N|0|0", "h2|a@b.c|N|-5|0"], malformed_tolerance=1.0)
+    assert [m.reason for m in result.malformed] == [
+        "non-positive timestamp 0",
+        "non-positive timestamp -5",
+    ]
+
+
 def test_pipe_timestamps_past_year_9999_rejected():
     lines = [
         f"h1|a@b.c|N|{MAX_TIMESTAMP}|0",

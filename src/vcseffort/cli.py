@@ -53,6 +53,7 @@ from .ingest import (
     parse_log_file,
     parse_log_stream,
     read_repository_log,
+    setting_lines,
 )
 from .stats import DEFAULT_CUTOFFS, representativeness_table, representativeness_to_csv
 from .survey import LABEL_FULL, load_survey, triangulate
@@ -61,6 +62,9 @@ from .synth import PopulationSpec, generate, write_fixture
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
+
+# Time, memory and report size grow linearly with --theta-max, whatever the log's size.
+THETA_MAX_CEILING = 100_000
 
 _REPORT_FILENAMES = {"json": "report.json", "csv": "report.csv", "markdown": "report.md"}
 
@@ -105,6 +109,13 @@ def positive_int(text: str) -> int:
     return value
 
 
+def theta_max(text: str) -> int:
+    value = positive_int(text)
+    if value > THETA_MAX_CEILING:
+        raise argparse.ArgumentTypeError(f"must be <= {THETA_MAX_CEILING}, got {value}")
+    return value
+
+
 def proportion(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -115,18 +126,11 @@ def proportion(text: str) -> float:
 def read_config_file(path: str) -> dict[str, str]:
     """Read ``key = value`` lines; blank lines and #-comments are ignored."""
     options: dict[str, str] = {}
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            for line_no, raw in enumerate(handle, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                key, separator, value = line.partition("=")
-                if not separator:
-                    raise ConfigError(f"config {path} line {line_no}: expected key = value")
-                options[key.strip()] = value.strip()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestionError(f"cannot read config file {path}: {exc}") from exc
+    for line_no, line in setting_lines(path, "config file"):
+        key, separator, value = line.partition("=")
+        if not separator:
+            raise ConfigError(f"config {path} line {line_no}: expected key = value")
+        options[key.strip()] = value.strip()
     return options
 
 
@@ -467,7 +471,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, Registry]:
     option(source, "--survey", help="survey CSV (email,self_class,hours_bucket,survey_date,suspect)")
 
     thresholds = argparse.ArgumentParser(add_help=False)
-    option(thresholds, "--theta-max", type=positive_int, help="highest threshold to sweep or report")
+    option(thresholds, "--theta-max", type=theta_max, help="highest threshold to sweep or report")
     option(
         thresholds, "--select", default=SELECT_LOWER_MEDIAN, choices=SELECTION_POLICIES,
         help="tie-break policy",

@@ -7,8 +7,8 @@ import unicodedata
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .errors import ConfigError, IngestionError
-from .ingest import CommitRecord
+from .errors import ConfigError
+from .ingest import CommitRecord, open_input
 
 
 @dataclass(frozen=True)
@@ -36,23 +36,18 @@ ALIAS_HEADER = ("alias_email_or_name", "canonical_email")
 def load_alias_map(path: str) -> AliasMap:
     """Read alias directives from a two-column CSV; an optional header row is skipped."""
     directives: list[tuple[str, str]] = []
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as handle:
-            for row_no, row in enumerate(csv.reader(handle), start=1):
-                if not row or not any(cell.strip() for cell in row):
-                    continue
-                if row[0].strip().startswith("#"):
-                    continue
-                cells = [cell.strip() for cell in row]
-                if row_no == 1 and tuple(cells[:2]) == ALIAS_HEADER:
-                    continue
-                if len(cells) < 2 or not cells[0] or not cells[1]:
-                    raise ConfigError(
-                        f"alias file {path} row {row_no}: expected alias,canonical_email"
-                    )
-                directives.append((cells[0], cells[1]))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise IngestionError(f"cannot read alias file {path}: {exc}") from exc
+    with open_input(path, "alias file", newline="") as handle:
+        for row_no, row in enumerate(csv.reader(handle), start=1):
+            cells = [cell.strip() for cell in row]
+            if not any(cells) or cells[0].startswith("#"):
+                continue
+            if row_no == 1 and tuple(cells[:2]) == ALIAS_HEADER:
+                continue
+            if len(cells) < 2 or not cells[0] or not cells[1]:
+                raise ConfigError(
+                    f"alias file {path} row {row_no}: expected alias,canonical_email"
+                )
+            directives.append((cells[0], cells[1]))
     return AliasMap(tuple(directives))
 
 

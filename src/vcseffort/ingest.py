@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import re
 import subprocess
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import ConfigError, IngestionError
 
@@ -61,6 +63,25 @@ class FilterConfig:
 
     bot_patterns: tuple[str, ...] = ()
     exclude_merges: bool = False
+
+
+@contextmanager
+def open_input(path: str, what: str, **open_options) -> Iterator[IO[str]]:
+    """Open a UTF-8 text input, BOM dropped; a read failure raises ``IngestionError``."""
+    try:
+        with open(path, encoding="utf-8-sig", **open_options) as handle:
+            yield handle
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise IngestionError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def setting_lines(path: str, what: str) -> Iterator[tuple[int, str]]:
+    """Yield (1-based line number, stripped line), skipping blank and #-comment lines."""
+    with open_input(path, what) as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            line = raw.strip()
+            if line and not line.startswith("#"):
+                yield line_no, line
 
 
 def _check_timestamp(timestamp: int) -> None:
@@ -156,24 +177,21 @@ def parse_log_stream(
     malformed: list[MalformedLine] = []
     seen_hashes: set[str] = set()
     total = 0
-    try:
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip():
-                continue
-            total += 1
-            try:
-                record = parse_one(line)
-            except ValueError as exc:
-                malformed.append(MalformedLine(line_no, line, str(exc)))
-                continue
-            if record.hash in seen_hashes:
-                malformed.append(MalformedLine(line_no, line, f"duplicate hash {record.hash!r}"))
-                continue
-            seen_hashes.add(record.hash)
-            records.append(record)
-    except (OSError, UnicodeError) as exc:
-        raise IngestionError(f"unreadable input: {exc}") from exc
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            continue
+        total += 1
+        try:
+            record = parse_one(line)
+        except ValueError as exc:
+            malformed.append(MalformedLine(line_no, line, str(exc)))
+            continue
+        if record.hash in seen_hashes:
+            malformed.append(MalformedLine(line_no, line, f"duplicate hash {record.hash!r}"))
+            continue
+        seen_hashes.add(record.hash)
+        records.append(record)
 
     if total and len(malformed) / total > malformed_tolerance:
         preview = "; ".join(f"line {m.line_no}: {m.reason}" for m in malformed[:5])
@@ -189,11 +207,8 @@ def parse_log_file(
     fmt: str = "pipe",
     malformed_tolerance: float = DEFAULT_MALFORMED_TOLERANCE,
 ) -> ParseResult:
-    try:
-        with open(path, encoding="utf-8-sig", errors="replace") as handle:
-            return parse_log_stream(handle, fmt, malformed_tolerance)
-    except OSError as exc:
-        raise IngestionError(f"cannot read {path}: {exc}") from exc
+    with open_input(path, "commit log", errors="replace") as handle:
+        return parse_log_stream(handle, fmt, malformed_tolerance)
 
 
 def to_pipe_line(record: CommitRecord) -> str:
@@ -219,17 +234,7 @@ def to_jsonl_line(record: CommitRecord) -> str:
 
 def load_bot_patterns(path: str) -> tuple[str, ...]:
     """Read one regular expression per line; blank lines and #-comment lines are skipped."""
-    patterns = []
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            for raw in handle:
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                patterns.append(line)
-    except (OSError, UnicodeDecodeError) as exc:
-        raise IngestionError(f"cannot read bot pattern file {path}: {exc}") from exc
-    return tuple(patterns)
+    return tuple(line for _, line in setting_lines(path, "bot pattern file"))
 
 
 def compile_bot_patterns(patterns: Iterable[str]) -> list[re.Pattern[str]]:
@@ -281,7 +286,8 @@ def read_repository_log(repo_path: str) -> list[str]:
     The merge flag is derived from the parent count of each commit; author
     timestamps are epoch seconds and therefore timezone-free. The log is read
     as UTF-8 whatever the repository's output encoding, and undecodable bytes
-    are replaced, as in ``parse_log_file``.
+    are replaced, as in ``parse_log_file``. Records end at a line feed only,
+    so an author name keeps any carriage return, form feed or line separator.
     """
     command = [
         "git",
@@ -293,17 +299,16 @@ def read_repository_log(repo_path: str) -> list[str]:
         f"--pretty=format:{GIT_PRETTY_FORMAT}",
     ]
     try:
-        result = subprocess.run(
-            command, capture_output=True, encoding="utf-8", errors="replace", check=True
-        )
+        result = subprocess.run(command, capture_output=True, check=True)
     except FileNotFoundError as exc:
         raise IngestionError("git executable not found") from exc
     except subprocess.CalledProcessError as exc:
-        detail = exc.stderr.strip() or f"exit status {exc.returncode}"
+        detail = exc.stderr.decode("utf-8", "replace").strip() or f"exit status {exc.returncode}"
         raise IngestionError(f"git log failed for {repo_path}: {detail}") from exc
 
     lines = []
-    for line in result.stdout.splitlines():
+    # Bytes, then split("\n"): text mode turns "\r" into "\n", and splitlines() splits names.
+    for line in result.stdout.decode("utf-8", "replace").split("\n"):
         if not line.strip():
             continue
         parts = line.split("|")

@@ -9,6 +9,7 @@ from typing import Iterable, Sequence
 
 from .errors import IngestionError
 from .identity import CanonicalDeveloper, email_index
+from .ingest import open_input
 
 SELF_CLASSES = ("full", "part", "occasional", "")
 HOURS_BUCKETS = ("gt40", "40", "30", "20", "10", "lt5", "")
@@ -61,53 +62,50 @@ class Exclusion:
 def load_survey(path: str) -> list[SurveyResponse]:
     """Read survey responses from CSV with the exact five-column header."""
     responses = []
-    try:
-        with open(path, encoding="utf-8-sig", newline="") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise IngestionError(f"survey file {path} is empty") from None
-            if tuple(cell.strip() for cell in header) != SURVEY_HEADER:
+    with open_input(path, "survey file", newline="") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise IngestionError(f"survey file {path} is empty") from None
+        if tuple(cell.strip() for cell in header) != SURVEY_HEADER:
+            raise IngestionError(
+                f"survey file {path} must start with header "
+                f"{','.join(SURVEY_HEADER)}, got {','.join(header)}"
+            )
+        for row_no, row in enumerate(reader, start=2):
+            if not row or not any(cell.strip() for cell in row):
+                continue
+            if len(row) != len(SURVEY_HEADER):
                 raise IngestionError(
-                    f"survey file {path} must start with header "
-                    f"{','.join(SURVEY_HEADER)}, got {','.join(header)}"
+                    f"survey file {path} row {row_no}: expected "
+                    f"{len(SURVEY_HEADER)} columns, got {len(row)}"
                 )
-            for row_no, row in enumerate(reader, start=2):
-                if not row or not any(cell.strip() for cell in row):
-                    continue
-                if len(row) != len(SURVEY_HEADER):
-                    raise IngestionError(
-                        f"survey file {path} row {row_no}: expected "
-                        f"{len(SURVEY_HEADER)} columns, got {len(row)}"
-                    )
-                email, self_class, hours, date_text, suspect = (cell.strip() for cell in row)
-                if self_class not in SELF_CLASSES:
-                    raise IngestionError(
-                        f"survey file {path} row {row_no}: bad self_class {self_class!r}"
-                    )
-                if hours not in HOURS_BUCKETS:
-                    raise IngestionError(
-                        f"survey file {path} row {row_no}: bad hours_bucket {hours!r}"
-                    )
-                try:
-                    when = date.fromisoformat(date_text)
-                except ValueError:
-                    raise IngestionError(
-                        f"survey file {path} row {row_no}: bad survey_date {date_text!r}"
-                    ) from None
-                lowered = suspect.lower()
-                if lowered in _TRUTHY:
-                    flagged = True
-                elif lowered in _FALSY:
-                    flagged = False
-                else:
-                    raise IngestionError(
-                        f"survey file {path} row {row_no}: bad suspect flag {suspect!r}"
-                    )
-                responses.append(SurveyResponse(email, self_class, hours, when, flagged))
-    except (OSError, UnicodeDecodeError, csv.Error) as exc:
-        raise IngestionError(f"cannot read survey file {path}: {exc}") from exc
+            email, self_class, hours, date_text, suspect = (cell.strip() for cell in row)
+            if self_class not in SELF_CLASSES:
+                raise IngestionError(
+                    f"survey file {path} row {row_no}: bad self_class {self_class!r}"
+                )
+            if hours not in HOURS_BUCKETS:
+                raise IngestionError(
+                    f"survey file {path} row {row_no}: bad hours_bucket {hours!r}"
+                )
+            try:
+                when = date.fromisoformat(date_text)
+            except ValueError:
+                raise IngestionError(
+                    f"survey file {path} row {row_no}: bad survey_date {date_text!r}"
+                ) from None
+            lowered = suspect.lower()
+            if lowered in _TRUTHY:
+                flagged = True
+            elif lowered in _FALSY:
+                flagged = False
+            else:
+                raise IngestionError(
+                    f"survey file {path} row {row_no}: bad suspect flag {suspect!r}"
+                )
+            responses.append(SurveyResponse(email, self_class, hours, when, flagged))
     return responses
 
 

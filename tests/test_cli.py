@@ -346,6 +346,7 @@ BAD_OPTION_VALUES = [
     ("anchor", "2020-13-01"),
     ("cutoffs", "a,b"),
     ("exclude-merges", "maybe"),
+    ("theta-max", "100001"),
 ]
 
 
@@ -497,6 +498,25 @@ def test_undecodable_input_file_is_an_io_error(flag, reference_inputs, tmp_path,
     )
     assert code == EXIT_IO
     assert str(bad) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, kind",
+    [("log", "commit log"), ("commits", "commit log"), ("config", "config file"),
+     ("bots", "bot pattern file"), ("aliases", "alias file"), ("survey", "survey file")],
+)
+def test_unreadable_input_names_its_kind(flag, kind, reference_inputs, tmp_path, capsys):
+    directory = tmp_path / "dir"
+    directory.mkdir()
+    source = [] if flag in ("log", "commits") else ["--log", str(reference_inputs["log"])]
+    code, _, err = run(
+        ["calibrate", *source, "--survey", str(reference_inputs["survey"]), *REFERENCE_ARGS,
+         "--out", str(tmp_path / "o"), f"--{flag}", str(directory)],
+        capsys,
+    )
+    assert code == EXIT_IO
+    assert err.startswith(f"error: cannot read {kind} {directory}: ")
     assert "Traceback" not in err
 
 

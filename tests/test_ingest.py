@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import random
 import re
 import shutil
@@ -290,6 +291,32 @@ def test_read_repository_log(tmp_path):
     assert len(result.records) == 4
     assert sum(1 for r in result.records if r.is_merge) == 1
     assert all(r.author_email == "test@example.org" for r in result.records)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
+def test_read_repository_log_keeps_line_breaks_in_author_names(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    names = ["Ann\u2028Lee", "Bob\fKay", "Cy\rRo"]
+
+    def git(*args, name="Test Dev"):
+        subprocess.run(
+            ["git", "-c", "user.name=Test Dev", "-c", "user.email=test@example.org",
+             "-C", str(repo), *args],
+            check=True,
+            capture_output=True,
+            env={**os.environ, "GIT_AUTHOR_NAME": name, "GIT_AUTHOR_EMAIL": "dev@example.org"},
+        )
+
+    git("init", "-q")
+    for i, name in enumerate(names):
+        (repo / "a.txt").write_text(f"{i}\n")
+        git("add", "a.txt")
+        git("commit", "-q", "-m", f"commit {i}", name=name)
+
+    result = parse_log_stream(read_repository_log(str(repo)))
+    assert result.malformed == []
+    assert sorted(r.author_name for r in result.records) == sorted(names)
 
 
 def test_read_repository_log_missing_repo(tmp_path):

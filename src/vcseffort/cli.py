@@ -28,7 +28,6 @@ from .activity import (
 from .calibration import (
     SELECT_LOWER_MEDIAN,
     SELECTION_POLICIES,
-    ThetaSelection,
     select_theta,
     sweep,
     sweep_to_csv,
@@ -163,39 +162,24 @@ def resolve_config(args: argparse.Namespace, options: Registry) -> argparse.Name
     return config
 
 
-def config_snapshot(config: argparse.Namespace) -> dict:
-    return {
+def _write_outputs(config: argparse.Namespace, files: dict[str, object], record: dict) -> None:
+    """Create ``--out``, write each file in order, then ``run.json``; a non-string is written as JSON."""
+    out = Path(config.out)
+    out.mkdir(parents=True, exist_ok=True)
+    snapshot = {
         **vars(config),
         "anchor": config.anchor.isoformat() if config.anchor else None,
         "cutoffs": list(config.cutoffs),
     }
+    run = {"version": __version__, "command": config.command, "config": snapshot, **record}
+    for name, content in {**files, "run.json": run}.items():
+        if not isinstance(content, str):
+            content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+        (out / name).write_text(content, encoding="utf-8")
 
 
-def _write_text(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
-
-
-def _write_json(path: Path, payload: object) -> None:
-    _write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-
-
-def _out_dir(config: argparse.Namespace) -> Path:
-    directory = Path(config.out)
-    directory.mkdir(parents=True, exist_ok=True)
-    return directory
-
-
-def _write_run_record(config: argparse.Namespace, extras: dict) -> None:
-    payload = {
-        "version": __version__,
-        "command": config.command,
-        "config": config_snapshot(config),
-    }
-    payload.update(extras)
-    _write_json(_out_dir(config) / "run.json", payload)
-
-
-def _load_commits(config: argparse.Namespace):
+def _ingest(config: argparse.Namespace):
+    """The kept commits, their developer assignments and roster, and the ``ingest`` record."""
     sources = [source for source in (config.log, config.commits, config.repo) if source]
     if len(sources) != 1:
         raise ConfigError("exactly one of --log, --commits, or --repo is required")
@@ -227,12 +211,9 @@ def _load_commits(config: argparse.Namespace):
         "merge_excluded": merges,
         "kept": len(kept),
     }
-    return kept, ingest_info
-
-
-def _build_roster(config: argparse.Namespace, commits):
     aliases = load_alias_map(config.aliases) if config.aliases else AliasMap()
-    return resolve_identities(commits, aliases, config.name_merging)
+    assignments, roster = resolve_identities(kept, aliases, config.name_merging)
+    return kept, assignments, roster, ingest_info
 
 
 def _survey_labels(config: argparse.Namespace, commits, assignments, roster):
@@ -251,22 +232,6 @@ def _survey_labels(config: argparse.Namespace, commits, assignments, roster):
     )
 
 
-def _selection_payload(
-    selection: ThetaSelection, labels, exclusions, window_end: date, theta_max: int
-) -> dict:
-    return {
-        "argmax_range": list(selection.argmax_range),
-        "argmax_thetas": list(selection.argmax_thetas),
-        "selected_theta": selection.selected_theta,
-        "max_goodness": selection.max_goodness,
-        "policy": selection.policy,
-        "theta_max": theta_max,
-        "window_end": window_end.isoformat(),
-        "label_counts": Counter(label.label for label in labels),
-        "exclusion_counts": Counter(exclusion.reason for exclusion in exclusions),
-    }
-
-
 def _calibrate_flow(config: argparse.Namespace, commits, assignments, roster):
     labels, exclusions, window_end, counts = _survey_labels(config, commits, assignments, roster)
     metrics = sweep(counts, labels, config.theta_max)
@@ -276,18 +241,28 @@ def _calibrate_flow(config: argparse.Namespace, commits, assignments, roster):
         f"labels: {len(labels)} (full-time {full}, non-full-time {len(labels) - full}); "
         f"exclusions: {len(exclusions)}"
     )
-    payload = _selection_payload(selection, labels, exclusions, window_end, metrics[-1].theta)
+    payload = {
+        "argmax_range": list(selection.argmax_range),
+        "argmax_thetas": list(selection.argmax_thetas),
+        "selected_theta": selection.selected_theta,
+        "max_goodness": selection.max_goodness,
+        "policy": selection.policy,
+        "theta_max": metrics[-1].theta,
+        "window_end": window_end.isoformat(),
+        "label_counts": Counter(label.label for label in labels),
+        "exclusion_counts": Counter(exclusion.reason for exclusion in exclusions),
+    }
     return metrics, selection, payload
 
 
 def cmd_calibrate(config: argparse.Namespace) -> int:
-    commits, ingest_info = _load_commits(config)
-    assignments, roster = _build_roster(config, commits)
+    commits, assignments, roster, ingest_info = _ingest(config)
     metrics, selection, payload = _calibrate_flow(config, commits, assignments, roster)
-    out = _out_dir(config)
-    _write_text(out / "sweep.csv", sweep_to_csv(metrics))
-    _write_json(out / "selection.json", payload)
-    _write_run_record(config, {"result": {"selected_theta": selection.selected_theta}, "ingest": ingest_info})
+    _write_outputs(
+        config,
+        {"sweep.csv": sweep_to_csv(metrics), "selection.json": payload},
+        {"result": {"selected_theta": selection.selected_theta}, "ingest": ingest_info},
+    )
     low, high = selection.argmax_range
     print(
         f"theta range [{low},{high}], selected {selection.selected_theta}, "
@@ -301,17 +276,13 @@ def cmd_estimate(config: argparse.Namespace) -> int:
         raise ConfigError("estimate requires exactly one of --theta or --survey")
     spec = PeriodSpec(config.period_months, config.alignment, config.anchor)
     spec.validate()
-    commits, ingest_info = _load_commits(config)
-    assignments, roster = _build_roster(config, commits)
+    commits, assignments, roster, ingest_info = _ingest(config)
 
-    calibration_payload = None
-    if config.theta is not None:
-        theta = config.theta
-        provenance = "explicit"
-    else:
-        _, selection, calibration_payload = _calibrate_flow(config, commits, assignments, roster)
-        theta = selection.selected_theta
-        provenance = "calibrated"
+    result = {"theta": config.theta, "theta_provenance": "explicit"}
+    if config.theta is None:
+        _, selection, result["calibration"] = _calibrate_flow(config, commits, assignments, roster)
+        result.update(theta=selection.selected_theta, theta_provenance="calibrated")
+    theta = result["theta"]
 
     matrix = aggregate(commits, assignments, spec, config.metric)
 
@@ -327,43 +298,37 @@ def cmd_estimate(config: argparse.Namespace) -> int:
     )
     reports = reports_for_thetas(matrix, thetas)
 
-    out = _out_dir(config)
-    _write_text(out / "activity.csv", matrix.to_csv())
     # Built per call: perfbench/tracer.py times the renderers by rebinding these names.
     renderers = {"json": render_json, "csv": render_csv, "markdown": render_markdown}
-    _write_text(
-        out / _REPORT_FILENAMES[config.format], renderers[config.format](reports, theta, errors)
+    result["total_pm"] = render_quantity(selected_report.total)
+    result["upper_bound_pm"] = render_quantity(selected_report.upper_bound)
+    result["overflow_commits"] = matrix.overflow_commits
+    _write_outputs(
+        config,
+        {
+            "activity.csv": matrix.to_csv(),
+            _REPORT_FILENAMES[config.format]: renderers[config.format](reports, theta, errors),
+        },
+        {"result": result, "ingest": ingest_info},
     )
-    result = {
-        "theta": theta,
-        "theta_provenance": provenance,
-        "total_pm": render_quantity(selected_report.total),
-        "upper_bound_pm": render_quantity(selected_report.upper_bound),
-        "overflow_commits": matrix.overflow_commits,
-    }
-    if calibration_payload is not None:
-        result["calibration"] = calibration_payload
-    _write_run_record(config, {"result": result, "ingest": ingest_info})
     print(
-        f"total effort {render_quantity(selected_report.total)} PM "
-        f"(theta {theta}, upper bound {render_quantity(selected_report.upper_bound)} PM)"
+        f"total effort {result['total_pm']} PM "
+        f"(theta {theta}, upper bound {result['upper_bound_pm']} PM)"
     )
     return EXIT_OK
 
 
 def cmd_representativeness(config: argparse.Namespace) -> int:
-    commits, ingest_info = _load_commits(config)
-    assignments, roster = _build_roster(config, commits)
+    commits, assignments, roster, ingest_info = _ingest(config)
     labels, exclusions, window_end, counts = _survey_labels(config, commits, assignments, roster)
     all_counts = {developer.developer_id: counts.get(developer.developer_id, 0) for developer in roster}
     surveyed_counts = {label.developer_id: all_counts[label.developer_id] for label in labels}
     rows = representativeness_table(all_counts, surveyed_counts, config.cutoffs)
 
-    out = _out_dir(config)
-    _write_text(out / "representativeness.csv", representativeness_to_csv(rows))
     insufficient = sum(1 for row in rows if row.ks is None)
-    _write_run_record(
+    _write_outputs(
         config,
+        {"representativeness.csv": representativeness_to_csv(rows)},
         {
             "result": {
                 "cutoffs": list(config.cutoffs),
@@ -394,8 +359,9 @@ def cmd_synth(config: argparse.Namespace) -> int:
         population, config.out, anchor, config.period_months, config.log_format
     )
     total_commits = sum(population.counts.values())
-    _write_run_record(
+    _write_outputs(
         config,
+        {},
         {
             "result": {
                 "developers": len(population.counts),

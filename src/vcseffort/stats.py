@@ -154,24 +154,16 @@ def representativeness_table(
     for cutoff in cutoffs:
         population = [count for count in all_counts.values() if count >= cutoff]
         surveyed = [count for count in surveyed_counts.values() if count >= cutoff]
-        all_summary = summarize(population) if population else None
-        surveyed_summary = summarize(surveyed) if surveyed else None
-        if population and surveyed:
-            rows.append(
-                RepresentativenessRow(
-                    cutoff,
-                    STATUS_OK,
-                    all_summary,
-                    surveyed_summary,
-                    ks_two_sample(population, surveyed),
-                )
+        ks = ks_two_sample(population, surveyed) if population and surveyed else None
+        rows.append(
+            RepresentativenessRow(
+                cutoff,
+                STATUS_OK if ks is not None else STATUS_INSUFFICIENT,
+                summarize(population) if population else None,
+                summarize(surveyed) if surveyed else None,
+                ks,
             )
-        else:
-            rows.append(
-                RepresentativenessRow(
-                    cutoff, STATUS_INSUFFICIENT, all_summary, surveyed_summary, None
-                )
-            )
+        )
     return rows
 
 

@@ -9,8 +9,10 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from datetime import date
+from itertools import accumulate
 from pathlib import Path
 
 from .activity import date_to_epoch, subtract_months
@@ -76,24 +78,10 @@ class SyntheticPopulation:
 
 def _power_law_values(rng: random.Random, low: int, high: int, exponent: float, size: int) -> list[int]:
     """Inverse-CDF sampling of integers in [low, high] with weight k^-exponent."""
-    support = range(low, high + 1)
-    cumulative = []
-    acc = 0.0
-    for k in support:
-        acc += k**-exponent
-        cumulative.append(acc)
+    cumulative = list(accumulate(k**-exponent for k in range(low, high + 1)))
     total = cumulative[-1]
-    values = []
-    for _ in range(size):
-        target = rng.random() * total
-        # Linear scan is fine: supports stay small (tens to hundreds of values).
-        for k, bound in zip(support, cumulative):
-            if target <= bound:
-                values.append(k)
-                break
-        else:
-            values.append(high)
-    return values
+    # random() < 1, so the target never exceeds total and always finds a bound.
+    return [low + bisect_left(cumulative, rng.random() * total) for _ in range(size)]
 
 
 def _developer_id(index: int) -> str:

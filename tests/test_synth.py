@@ -14,7 +14,7 @@ from vcseffort.errors import GenerationError
 from vcseffort.identity import resolve_identities
 from vcseffort.ingest import parse_log_file
 from vcseffort.survey import LABEL_FULL, LABEL_NON_FULL, load_survey, triangulate
-from vcseffort.synth import PopulationSpec, generate, write_fixture
+from vcseffort.synth import PopulationSpec, _power_law_values, generate, write_fixture
 
 ANCHOR = date(2020, 7, 1)
 
@@ -77,6 +77,41 @@ def test_skew_concentrates_low_activity():
     # A power law over [1, 9] puts most of the mass at the bottom.
     assert values[len(values) // 2] <= 2
     assert sum(values) / len(values) < 5.0
+
+
+def _scan_power_law_values(rng, low, high, exponent, size):
+    """Reference: a linear scan of the cumulative weights for each draw."""
+    support = range(low, high + 1)
+    cumulative = []
+    acc = 0.0
+    for k in support:
+        acc += k**-exponent
+        cumulative.append(acc)
+    values = []
+    for _ in range(size):
+        target = rng.random() * cumulative[-1]
+        for k, bound in zip(support, cumulative):
+            if target <= bound:
+                values.append(k)
+                break
+        else:
+            values.append(high)
+    return values
+
+
+def test_power_law_values_match_a_linear_scan():
+    specs = random.Random(3)
+    for _ in range(300):
+        low = specs.randint(1, 50)
+        high = low + specs.randint(0, 300)
+        exponent = 10 ** specs.uniform(-2, 3)
+        size = specs.randint(0, 200)
+        seed = specs.randrange(2**32)
+        fast, slow = random.Random(seed), random.Random(seed)
+        assert _power_law_values(fast, low, high, exponent, size) == _scan_power_law_values(
+            slow, low, high, exponent, size
+        )
+        assert fast.random() == slow.random()  # both consumed exactly one draw per value
 
 
 def test_label_noise_flips_are_recorded():

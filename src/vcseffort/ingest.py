@@ -6,8 +6,10 @@ import csv
 import json
 import re
 import subprocess
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import ConfigError, IngestionError
@@ -40,6 +42,13 @@ class CommitRecord(NamedTuple):
     author_email: str
     author_timestamp: int  # UTC seconds since the epoch
     is_merge: bool = False
+
+
+# Builds a CommitRecord from one 5-tuple without the named tuple's Python-level __new__.
+_new_record = partial(tuple.__new__, CommitRecord)
+
+# The decoder json.loads uses; raw_decode skips its BOM, whitespace and trailer checks.
+_raw_decode = json.JSONDecoder().raw_decode
 
 
 @dataclass(frozen=True)
@@ -108,48 +117,64 @@ def _parse_pipe_line(line: str) -> CommitRecord:
     ):
         raise ValueError(f"non-integer timestamp {ts_field!r}")
     timestamp = int(ts_field)
-    _check_timestamp(timestamp)
+    if not 0 < timestamp <= MAX_TIMESTAMP:
+        _check_timestamp(timestamp)
     if merge_field not in ("0", "1"):
         raise ValueError(f"merge flag must be 0 or 1, got {merge_field!r}")
     if not email and not name:
         raise ValueError("author email and name are both empty")
-    return CommitRecord(commit_hash, name, email, timestamp, merge_field == "1")
+    # Interned: every commit by one author then shares its name and email strings.
+    return _new_record(
+        (commit_hash, sys.intern(name), sys.intern(email), timestamp, merge_field == "1")
+    )
 
 
 def _parse_jsonl_line(line: str) -> CommitRecord:
+    # One value spanning the whole line is exactly what json.loads returns for it;
+    # anything else (surrounding whitespace, a BOM, a trailer, bad JSON) goes through
+    # json.loads, which accepts it or words the reason.
     try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc.msg}") from None
-    except RecursionError:
-        raise ValueError("invalid JSON: nested too deeply") from None
-    if not isinstance(obj, dict):
+        obj, end = _raw_decode(line)
+    except (ValueError, RecursionError):
+        end = -1
+    if end != len(line):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid JSON: {exc.msg}") from None
+        except RecursionError:
+            raise ValueError("invalid JSON: nested too deeply") from None
+    # The decoder builds only exact dict, str, int and bool objects, so type() is
+    # isinstance() here, and a bool timestamp is still not an int.
+    if type(obj) is not dict:
         raise ValueError("JSON line is not an object")
-    for key in JSONL_REQUIRED_KEYS:
-        if key not in obj:
-            raise ValueError(f"missing key {key!r}")
-    commit_hash = obj["hash"]
-    name = obj["author_name"]
-    email = obj["author_email"]
-    timestamp = obj["author_timestamp"]
-    is_merge = obj["is_merge"]
-    if not isinstance(commit_hash, str) or not commit_hash:
+    try:
+        commit_hash = obj["hash"]
+        name = obj["author_name"]
+        email = obj["author_email"]
+        timestamp = obj["author_timestamp"]
+        is_merge = obj["is_merge"]
+    except KeyError:
+        missing = next(key for key in JSONL_REQUIRED_KEYS if key not in obj)
+        raise ValueError(f"missing key {missing!r}") from None
+    if type(commit_hash) is not str or not commit_hash:
         raise ValueError("hash must be a non-empty string")
-    if not isinstance(name, str) or not isinstance(email, str):
+    if type(name) is not str or type(email) is not str:
         raise ValueError("author_name and author_email must be strings")
     if not (name.isascii() and email.isascii()):
         try:
             (name + email).encode("utf-8")
         except UnicodeEncodeError:
             raise ValueError("author_name or author_email is not valid UTF-8 text") from None
-    if isinstance(timestamp, bool) or not isinstance(timestamp, int):
+    if type(timestamp) is not int:
         raise ValueError("author_timestamp must be an integer")
-    _check_timestamp(timestamp)
-    if not isinstance(is_merge, bool):
+    if not 0 < timestamp <= MAX_TIMESTAMP:
+        _check_timestamp(timestamp)
+    if type(is_merge) is not bool:
         raise ValueError("is_merge must be a boolean")
     if not email and not name:
         raise ValueError("author email and name are both empty")
-    return CommitRecord(commit_hash, name, email, timestamp, is_merge)
+    return _new_record((commit_hash, sys.intern(name), sys.intern(email), timestamp, is_merge))
 
 
 _LINE_PARSERS = {"pipe": _parse_pipe_line, "jsonl": _parse_jsonl_line}

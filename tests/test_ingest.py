@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import re
@@ -16,6 +17,7 @@ from vcseffort.ingest import (
     CommitRecord,
     DEFAULT_BOT_PATTERNS,
     FilterConfig,
+    JSONL_REQUIRED_KEYS,
     MAX_TIMESTAMP,
     apply_filters,
     load_bot_patterns,
@@ -413,3 +415,166 @@ def test_commit_record_public_surface():
     assert tuple(record) == ("h1", "Ada", "a@x.y", 5, True) == record
     with pytest.raises(AttributeError):
         record.hash = "h2"
+
+
+@pytest.mark.parametrize("fmt, to_line", [("pipe", to_pipe_line), ("jsonl", to_jsonl_line)])
+def test_parsed_records_are_commit_records_sharing_author_strings(fmt, to_line):
+    name, email = "Ada Lovelace-Byron", "ada.lovelace@example.org"
+    expected = [CommitRecord(f"h{i}", name, email, 1_600_000_000 + i, i == 1) for i in range(2)]
+    records = parse_log_stream([to_line(r) for r in expected], fmt).records
+    assert records == expected
+    assert [type(r) for r in records] == [CommitRecord, CommitRecord]
+    first, second = records
+    assert (second.hash, second.author_name, second.author_email) == ("h1", name, email)
+    assert (second.author_timestamp, second.is_merge) == (1_600_000_001, True)
+    # Each line decodes to its own strings; the parser hands out one per author.
+    assert first.author_name is second.author_name
+    assert first.author_email is second.author_email
+
+
+def _reference_jsonl_line(line: str) -> CommitRecord:
+    """The json.loads + isinstance procedure the JSON-lines parser must agree with."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"invalid JSON: {exc.msg}") from None
+    except RecursionError:
+        raise ValueError("invalid JSON: nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise ValueError("JSON line is not an object")
+    for key in JSONL_REQUIRED_KEYS:
+        if key not in obj:
+            raise ValueError(f"missing key {key!r}")
+    commit_hash = obj["hash"]
+    name = obj["author_name"]
+    email = obj["author_email"]
+    timestamp = obj["author_timestamp"]
+    is_merge = obj["is_merge"]
+    if not isinstance(commit_hash, str) or not commit_hash:
+        raise ValueError("hash must be a non-empty string")
+    if not isinstance(name, str) or not isinstance(email, str):
+        raise ValueError("author_name and author_email must be strings")
+    if not (name.isascii() and email.isascii()):
+        try:
+            (name + email).encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("author_name or author_email is not valid UTF-8 text") from None
+    if isinstance(timestamp, bool) or not isinstance(timestamp, int):
+        raise ValueError("author_timestamp must be an integer")
+    if timestamp <= 0:
+        raise ValueError(f"non-positive timestamp {timestamp}")
+    if timestamp > MAX_TIMESTAMP:
+        raise ValueError(f"timestamp {timestamp} is after 9999-12-31T23:59:59Z")
+    if not isinstance(is_merge, bool):
+        raise ValueError("is_merge must be a boolean")
+    if not email and not name:
+        raise ValueError("author email and name are both empty")
+    return CommitRecord(commit_hash, name, email, timestamp, is_merge)
+
+
+def _reference_jsonl_stream(lines):
+    records, malformed, seen = [], [], set()
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            continue
+        try:
+            record = _reference_jsonl_line(line)
+        except ValueError as exc:
+            malformed.append((line_no, line, str(exc)))
+            continue
+        if record.hash in seen:
+            malformed.append((line_no, line, f"duplicate hash {record.hash!r}"))
+            continue
+        seen.add(record.hash)
+        records.append(record)
+    return records, malformed
+
+
+def _mutated_jsonl_lines(rng: random.Random, count: int) -> list[str]:
+    names = ["Ada", "Björn B", 'q"uote', "back\\slash", "c|d", "", "  ", "李雷", "x\u2028y"]
+    emails = ["a@b.c", "UPPER@x.y", "", "é@x.y", "tab\t@x.y"]
+    alphabet = '{}[]":,\\/ \t0123456789-+.eEtrufalsnNI\ufeff\u00e9\x00'
+    whitespace = [" ", "\t", "\r", "\n", "\x0c", "\u00a0", "  \t "]
+
+    def timestamp_line(line, record):
+        value = rng.choice(["NaN", "Infinity", "true", "false", "1.0", "1e9", "-1", "0",
+                            '"5"', "null", str(MAX_TIMESTAMP), str(MAX_TIMESTAMP + 1)])
+        return line.replace(f'"author_timestamp": {record.author_timestamp}',
+                            f'"author_timestamp": {value}')
+
+    def missing_key_line(line, record):
+        obj = json.loads(line)
+        del obj[rng.choice(JSONL_REQUIRED_KEYS)]
+        return json.dumps(obj, sort_keys=rng.random() < 0.5)
+
+    def retyped_line(line, record):
+        obj = json.loads(line)
+        obj[rng.choice(JSONL_REQUIRED_KEYS)] = rng.choice([0, 1, 2.5, "", "x", None, True, [], {}])
+        return json.dumps(obj)
+
+    def surrogate_line(line, record):
+        field = rng.choice(["author_name", "author_email", "hash"])
+        escape = rng.choice(["\\ud800", "\\udfff", "\\ud800\\udc00"])
+        return line.replace(f'"{field}": "', f'"{field}": "{escape}', 1)
+
+    def nested_line(line, record):
+        depth = rng.choice([3, 2_000, 60_000])
+        return rng.choice(["[" * depth, "[" * depth + line + "]" * depth, '{"a": ' * depth])
+
+    def edit_line(line, record):
+        chars = list(line)
+        for _ in range(rng.randrange(1, 4)):
+            at = rng.randrange(len(chars) + 1)
+            action = rng.randrange(3)
+            if action == 0:
+                chars.insert(at, rng.choice(alphabet))
+            elif chars and at < len(chars):
+                if action == 1:
+                    del chars[at]
+                else:
+                    chars[at] = rng.choice(alphabet)
+        return "".join(chars)
+
+    mutations = [
+        edit_line,
+        lambda line, record: rng.choice(whitespace) + line,
+        lambda line, record: line + rng.choice(whitespace),
+        lambda line, record: rng.choice(whitespace) + line + rng.choice(whitespace),
+        lambda line, record: "\ufeff" + line,
+        timestamp_line,
+        missing_key_line,
+        retyped_line,
+        lambda line, record: line + rng.choice(["[]", '"s"', "} x", " []", "{}", "1"]),
+        surrogate_line,
+        nested_line,
+        lambda line, record: rng.choice(["", " ", "\r\n", "\t"]),
+    ]
+    lines = []
+    for serial in range(count):
+        record = CommitRecord(
+            hash=f"h{rng.randrange(count)}",
+            author_name=rng.choice(names),
+            author_email=rng.choice(emails),
+            author_timestamp=rng.randrange(1, MAX_TIMESTAMP + 1),
+            is_merge=rng.random() < 0.3,
+        )
+        line = to_jsonl_line(record)
+        if rng.random() < 0.5:
+            line = rng.choice(mutations)(line, record)
+        lines.append(line)
+    return lines
+
+
+def test_jsonl_parser_matches_the_json_loads_procedure():
+    """Records and (line_no, line, reason) triples equal the reference on mutated lines."""
+    lines = _mutated_jsonl_lines(random.Random(90210), 4_000)
+    result = parse_log_stream(lines, "jsonl", 1.0)
+    expected_records, expected_malformed = _reference_jsonl_stream(lines)
+    assert result.records == expected_records
+    assert [(m.line_no, m.line, m.reason) for m in result.malformed] == expected_malformed
+    # The mutations reach every verdict, not only the clean path.
+    reasons = {reason.split(" ")[0] for _, _, reason in expected_malformed}
+    assert len(expected_records) > 1_000
+    assert {"invalid", "JSON", "missing", "hash", "author", "author_name", "author_timestamp",
+            "is_merge", "duplicate", "non-positive", "timestamp"} <= reasons

@@ -136,12 +136,13 @@ def rolling_windows(
 
 def _bucket(
     commits: Iterable[CommitRecord],
-    assignments: Mapping[str, str],
+    assignments: Mapping[tuple[str, str], str],
     bounds: Sequence[int],
     metric: str,
 ) -> tuple[list[dict[str, int]], int]:
     """In one pass, ``{developer_id: activity}`` for each window ``[bounds[i], bounds[i + 1])``.
 
+    A commit counts for the developer ``assignments[author_name, author_email]``.
     Also returns the number of commits at or after ``bounds[-1]``; commits before
     ``bounds[0]`` are dropped. An active day is a distinct UTC day, ``timestamp // 86400``.
     """
@@ -158,7 +159,7 @@ def _bucket(
             continue
         if index < 0:
             continue
-        developer_id = assignments[commit.hash]
+        developer_id = assignments[commit.author_name, commit.author_email]
         if by_day:
             day = (developer_id, timestamp // 86400)
             if day in seen_days[index]:
@@ -171,7 +172,7 @@ def _bucket(
 
 def aggregate(
     commits: Sequence[CommitRecord],
-    assignments: Mapping[str, str],
+    assignments: Mapping[tuple[str, str], str],
     spec: PeriodSpec,
     metric: str = METRIC_COMMITS,
 ) -> ActivityMatrix:
@@ -204,7 +205,7 @@ def aggregate(
 
 def activity_in_window(
     commits: Iterable[CommitRecord],
-    assignments: Mapping[str, str],
+    assignments: Mapping[tuple[str, str], str],
     window_end: date,
     length_months: int,
     metric: str = METRIC_COMMITS,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import unicodedata
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import ConfigError
 from .ingest import CommitRecord, open_input
@@ -91,10 +91,10 @@ def _checked_directives(aliases: AliasMap) -> dict[str, str]:
 
 
 def resolve_identities(
-    commits: Sequence[CommitRecord],
+    commits: Iterable[CommitRecord],
     aliases: AliasMap | None = None,
     name_merging: bool = False,
-) -> tuple[dict[str, str], list[CanonicalDeveloper]]:
+) -> tuple[dict[tuple[str, str], str], list[CanonicalDeveloper]]:
     """Group observed (name, email) pairs into canonical developers.
 
     Each pair joins the group of every merge key it has: its non-empty
@@ -105,7 +105,8 @@ def resolve_identities(
     name>`` for groups with no email at all; should that equal another
     group's email, the first free ``#2``, ``#3``, ... suffix is appended.
 
-    Returns (commit hash -> developer id, roster sorted by developer id).
+    Returns ((name, email) -> developer id for every observed pair, roster
+    sorted by developer id).
     """
     canonical_for = _checked_directives(aliases or AliasMap())
     pairs: dict[tuple[str, str], None] = {}
@@ -165,11 +166,7 @@ def resolve_identities(
             group_of_pair[pair] = developer_id
 
     roster.sort(key=lambda dev: dev.developer_id)
-    assignments = {
-        commit.hash: group_of_pair[(commit.author_name, commit.author_email)]
-        for commit in commits
-    }
-    return assignments, roster
+    return group_of_pair, roster
 
 
 def email_index(roster: Iterable[CanonicalDeveloper]) -> dict[str, str]:

@@ -21,6 +21,7 @@ from vcseffort.activity import (
     subtract_months,
 )
 from vcseffort.errors import ConfigError, ParameterError
+from vcseffort.identity import resolve_identities
 from vcseffort.ingest import CommitRecord
 
 
@@ -33,7 +34,7 @@ def commit(i: int, timestamp: int, email: str = "a@x.org") -> CommitRecord:
 
 
 def simple_assignments(commits):
-    return {c.hash: c.author_email for c in commits}
+    return {(c.author_name, c.author_email): c.author_email for c in commits}
 
 
 def test_subtract_months_clamps_to_month_end():
@@ -152,6 +153,21 @@ def test_activity_in_window_active_days():
         commits, simple_assignments(commits), end, 1, METRIC_ACTIVE_DAYS
     )
     assert counts == {"a@x.org": 2}
+
+
+def test_commits_sharing_a_hash_count_for_their_own_authors():
+    # Logs of two repositories, concatenated in library use, can repeat a hash.
+    t = ts(2013, 3, 5)
+    commits = [
+        CommitRecord("h1", "A", "a@x.org", t, False),
+        CommitRecord("h1", "B", "b@x.org", t + 100, False),
+    ]
+    assignments, _ = resolve_identities(commits)
+    matrix = aggregate(commits, assignments, PeriodSpec())
+    assert matrix.counts == {"a@x.org": {"13s1": 1}, "b@x.org": {"13s1": 1}}
+    assert activity_in_window(commits, assignments, date(2013, 4, 1), 1) == {
+        "a@x.org": 1, "b@x.org": 1,
+    }
 
 
 def test_empty_input_gives_empty_matrix():

@@ -17,7 +17,7 @@ import pytest
 
 from conftest import REFERENCE_ACTIVITIES, write_reference_inputs
 from vcseffort.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from vcseffort.ingest import parse_log_file, to_jsonl_line
+from vcseffort.ingest import parse_log_file, to_jsonl_line, to_pipe_line
 from vcseffort.stats import REPRESENTATIVENESS_CSV_HEADER
 
 
@@ -963,16 +963,23 @@ def test_outputs_match_their_golden_digests(name, tmp_path, capsys, monkeypatch)
 ])
 def test_commit_order_does_not_change_outputs(command, log_format, reference_inputs, tmp_path,
                                               capsys, monkeypatch):
+    records = parse_log_file(str(reference_inputs["log"])).records
+    to_line = to_pipe_line if log_format == "pipe" else to_jsonl_line
     lines = reference_inputs["log"].read_text(encoding="utf-8").splitlines()
     if log_format == "jsonl":
-        lines = [to_jsonl_line(record) for record in parse_log_file(str(reference_inputs["log"])).records]
+        lines = [to_jsonl_line(record) for record in records]
     assert len(set(lines)) == len(lines)
     shuffled = random.Random(5).sample(lines, len(lines))
     assert shuffled != lines
+    # A hash only drops duplicate lines at ingest: fresh unique hashes change nothing.
+    rng = random.Random(6)
+    hashes = [f"{rng.getrandbits(160):040x}" for _ in records]
+    assert len(set(hashes) | {record.hash for record in records}) == 2 * len(records)
+    rehashed = [to_line(record._replace(hash=h)) for record, h in zip(records, hashes)]
     source = "--log" if log_format == "pipe" else "--commits"
     runs = []
-    for name, order in (("given", lines), ("shuffled", shuffled)):
-        # The same relative paths in both runs: run.json records them.
+    for name, order in (("given", lines), ("shuffled", shuffled), ("rehashed", rehashed)):
+        # The same relative paths in every run: run.json records them.
         directory = tmp_path / name
         directory.mkdir()
         monkeypatch.chdir(directory)
@@ -984,4 +991,4 @@ def test_commit_order_does_not_change_outputs(command, log_format, reference_inp
         )
         assert (code, err) == (EXIT_OK, "")
         runs.append((stdout, {path.name: path.read_bytes() for path in sorted(Path("out").iterdir())}))
-    assert runs[0] == runs[1]
+    assert runs[0] == runs[1] == runs[2]

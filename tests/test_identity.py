@@ -32,7 +32,10 @@ def test_same_email_merges_regardless_of_name_and_case():
     assignments, roster = resolve_identities(commits)
     assert len(roster) == 1
     assert roster[0].developer_id == "ada@example.org"
-    assert assignments["h1"] == assignments["h2"] == "ada@example.org"
+    assert assignments == {
+        ("Ada L", "Ada@Example.org"): "ada@example.org",
+        ("A. Lovelace", "ada@example.org"): "ada@example.org",
+    }
     assert roster[0].aliases == frozenset(
         {("Ada L", "Ada@Example.org"), ("A. Lovelace", "ada@example.org")}
     )
@@ -88,7 +91,7 @@ def test_alias_directive_forces_merge_by_email_and_name():
     assignments, roster = resolve_identities(commits, aliases)
     assert len(roster) == 1
     assert roster[0].developer_id == "ada@new.org"
-    assert assignments["h3"] == "ada@new.org"
+    assert assignments[("Ada Byron", "")] == "ada@new.org"
 
 
 def test_alias_match_is_case_insensitive_on_raw_name():
@@ -119,10 +122,11 @@ def test_repeated_identical_directives_allowed():
     assert roster[0].developer_id == "a@x.org"
 
 
-def test_assignments_cover_every_commit():
-    commits = [commit(i, f"N{i % 3}", f"e{i % 3}@x.org") for i in range(12)]
+def test_assignments_cover_every_pair():
+    commits = [commit(i, f"N{i % 3}", f"e{i % 4}@x.org") for i in range(24)]
     assignments, roster = resolve_identities(commits)
-    assert set(assignments) == {c.hash for c in commits}
+    assert set(assignments) == {(c.author_name, c.author_email) for c in commits}
+    assert len(assignments) == 12
     assert set(assignments.values()) == set(ids_of(roster))
 
 
@@ -235,17 +239,17 @@ def test_grouping_matches_graph_oracle():
         lowered = tuple((a.lower(), b.lower()) for a, b in directives)
         components = _oracle_components(pairs, lowered, name_merging)
 
+        assert assignments == {
+            pair: dev.developer_id for dev in roster for pair in dev.aliases
+        }
         # Same partition: pairs grouped together iff the oracle groups them.
-        group_by_pair = {}
-        for c in commits:
-            group_by_pair[(c.author_name, c.author_email)] = assignments[c.hash]
         oracle_component_of = {}
         for index, component in enumerate(components):
             for pair in component:
                 oracle_component_of[pair] = index
         for first in pairs:
             for second in pairs:
-                same_ours = group_by_pair[first] == group_by_pair[second]
+                same_ours = assignments[first] == assignments[second]
                 same_oracle = oracle_component_of[first] == oracle_component_of[second]
                 assert same_ours == same_oracle, (first, second, directives, name_merging)
         assert len(roster) == len(components)
@@ -281,11 +285,7 @@ def _check_naming_against_oracle(commits, directives, name_merging):
         developer = by_id[developer_id]
         assert developer.primary_email == primary_email
         assert developer.aliases == frozenset(component)
-    for c in commits:
-        pair = (c.author_name, c.author_email)
-        assert assignments[c.hash] == next(
-            dev.developer_id for dev in roster if pair in dev.aliases
-        )
+    assert assignments == {pair: dev.developer_id for dev in roster for pair in dev.aliases}
     return roster
 
 
@@ -363,18 +363,14 @@ def _check_ids_against_oracle(commits, directives, name_merging):
         for component, (developer_id, primary) in zip(components, _oracle_ids(components, lowered))
     )
     assert [(dev.developer_id, dev.primary_email, dev.aliases) for dev in roster] == expected
-    for c in commits:
-        pair = (c.author_name, c.author_email)
-        assert assignments[c.hash] == next(
-            dev.developer_id for dev in roster if pair in dev.aliases
-        )
+    assert assignments == {pair: dev.developer_id for dev in roster for pair in dev.aliases}
     return assignments, roster
 
 
 def test_email_spelled_like_a_name_id_does_not_merge_two_developers():
     commits = [commit(1, "X", "name:bob"), commit(2, "bob", "")]
     assignments, roster = _check_ids_against_oracle(commits, (), False)
-    assert assignments == {"h1": "name:bob", "h2": "name:bob#2"}
+    assert assignments == {("X", "name:bob"): "name:bob", ("bob", ""): "name:bob#2"}
     assert [(dev.developer_id, dev.primary_email) for dev in roster] == [
         ("name:bob", "name:bob"),
         ("name:bob#2", ""),
@@ -383,13 +379,15 @@ def test_email_spelled_like_a_name_id_does_not_merge_two_developers():
     commits.append(commit(3, "bob#2", ""))
     for order in (commits, commits[::-1], commits[1:] + commits[:1]):
         assignments, _ = _check_ids_against_oracle(order, (), False)
-        assert assignments == {"h1": "name:bob", "h2": "name:bob#3", "h3": "name:bob#2"}
+        assert assignments == {
+            ("X", "name:bob"): "name:bob", ("bob", ""): "name:bob#3", ("bob#2", ""): "name:bob#2",
+        }
     commits += [commit(4, "Y", "name:bob#2"), commit(5, "Z", "name:bob#4")]
     for order in (commits, commits[::-1], commits[1::2] + commits[::2]):
         assignments, _ = _check_ids_against_oracle(order, (), False)
         assert assignments == {
-            "h1": "name:bob", "h2": "name:bob#3", "h3": "name:bob#2#2",
-            "h4": "name:bob#2", "h5": "name:bob#4",
+            ("X", "name:bob"): "name:bob", ("bob", ""): "name:bob#3", ("bob#2", ""): "name:bob#2#2",
+            ("Y", "name:bob#2"): "name:bob#2", ("Z", "name:bob#4"): "name:bob#4",
         }
 
 

@@ -6,9 +6,8 @@ import calendar
 import csv
 import io
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from datetime import date, datetime, timezone
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, ParameterError
 from .ingest import CommitRecord
@@ -43,8 +42,7 @@ def epoch_to_utc_date(timestamp: int) -> date:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).date()
 
 
-@dataclass(frozen=True)
-class PeriodSpec:
+class PeriodSpec(NamedTuple):
     """Period layout: calendar half-years, or rolling windows ending at an anchor date."""
 
     length_months: int = 6
@@ -62,20 +60,30 @@ class PeriodSpec:
             raise ConfigError("rolling alignment requires an anchor date")
 
 
-@dataclass
 class ActivityMatrix:
-    """Per-developer, per-period activity counts.
+    """Per-developer, per-period activity counts; the one record ``aggregate`` fills in place.
 
     ``period_labels`` is chronological; rows hold only non-zero cells.
     ``overflow_commits`` counts commits at or after the rolling anchor, which
     belong to no period; with calendar alignment it is always zero.
     """
 
-    metric: str
-    period_months: int
-    period_labels: list[str]
-    counts: dict[str, dict[str, int]] = field(default_factory=dict)
-    overflow_commits: int = 0
+    def __init__(
+        self,
+        metric: str,
+        period_months: int,
+        period_labels: list[str],
+        counts: dict[str, dict[str, int]] | None = None,
+        overflow_commits: int = 0,
+    ) -> None:
+        self.metric = metric
+        self.period_months = period_months
+        self.period_labels = period_labels
+        self.counts = {} if counts is None else counts
+        self.overflow_commits = overflow_commits
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is type(self) and vars(self) == vars(other)
 
     def cell(self, developer_id: str, period_label: str) -> int:
         return self.counts.get(developer_id, {}).get(period_label, 0)

@@ -5,8 +5,7 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_left
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import CalibrationError, ConfigError, ParameterError
 from .survey import LABEL_FULL, SurveyLabel
@@ -31,8 +30,7 @@ SELECT_LOWER_MEDIAN = "lower-median"
 SELECTION_POLICIES = (SELECT_MIN, SELECT_MAX, SELECT_LOWER_MEDIAN)
 
 
-@dataclass(frozen=True)
-class ThresholdMetrics:
+class ThresholdMetrics(NamedTuple):
     theta: int
     tp: int
     fp: int
@@ -46,8 +44,7 @@ class ThresholdMetrics:
     compensation: int  # fn - fp: positive when misses outweigh false alarms
 
 
-@dataclass(frozen=True)
-class ThetaSelection:
+class ThetaSelection(NamedTuple):
     argmax_thetas: tuple[int, ...]
     argmax_range: tuple[int, int]
     selected_theta: int

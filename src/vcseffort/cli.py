@@ -48,6 +48,7 @@ from .ingest import (
     DEFAULT_MALFORMED_TOLERANCE,
     FilterConfig,
     apply_filters,
+    iso_date,
     load_bot_patterns,
     parse_log_file,
     parse_log_stream,
@@ -83,7 +84,7 @@ def _switch(text: str) -> bool:
 
 def _iso_date(text: str) -> date:
     try:
-        return date.fromisoformat(text)
+        return iso_date(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected YYYY-MM-DD, got {text!r}") from None
 

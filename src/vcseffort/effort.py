@@ -11,9 +11,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .activity import ActivityMatrix
 from .errors import ParameterError
@@ -36,8 +35,7 @@ def developer_effort(activity: int, theta: int, period_months: int) -> Fraction:
     return Fraction(period_months) * Fraction(activity, theta)
 
 
-@dataclass(frozen=True)
-class EffortReport:
+class EffortReport(NamedTuple):
     theta: int
     period_months: int
     per_period: dict[str, Fraction]  # keyed by period label, chronological

@@ -4,15 +4,13 @@ from __future__ import annotations
 
 import csv
 import unicodedata
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ConfigError
 from .ingest import CommitRecord, open_input
 
 
-@dataclass(frozen=True)
-class AliasMap:
+class AliasMap(NamedTuple):
     """Explicit merge directives: (alias email-or-name, canonical email) pairs.
 
     Directives add merges to the heuristic ones: every observed pair whose
@@ -23,8 +21,7 @@ class AliasMap:
     directives: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class CanonicalDeveloper:
+class CanonicalDeveloper(NamedTuple):
     developer_id: str
     primary_email: str
     aliases: frozenset[tuple[str, str]]  # observed (name, email) pairs

@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
+from datetime import date
 from functools import partial
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -31,11 +31,7 @@ MAX_TIMESTAMP = 253402300799
 
 
 class CommitRecord(NamedTuple):
-    """One version-control change, attributed to its author (committers are ignored).
-
-    A named tuple, not a dataclass: ingest builds one per line, and a tuple is
-    the cheapest immutable record to build.
-    """
+    """One version-control change, attributed to its author (committers are ignored)."""
 
     hash: str
     author_name: str
@@ -51,8 +47,7 @@ _new_record = partial(tuple.__new__, CommitRecord)
 _raw_decode = json.JSONDecoder().raw_decode
 
 
-@dataclass(frozen=True)
-class MalformedLine:
+class MalformedLine(NamedTuple):
     """A rejected input line, kept for loss accounting."""
 
     line_no: int  # 1-based position in the stream
@@ -60,14 +55,12 @@ class MalformedLine:
     reason: str
 
 
-@dataclass
-class ParseResult:
+class ParseResult(NamedTuple):
     records: list[CommitRecord]
     malformed: list[MalformedLine]
 
 
-@dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(NamedTuple):
     """Exclusion rules applied after parsing; both default to off."""
 
     bot_patterns: tuple[str, ...] = ()
@@ -91,6 +84,19 @@ def setting_lines(path: str, what: str) -> Iterator[tuple[int, str]]:
             line = raw.strip()
             if line and not line.startswith("#"):
                 yield line_no, line
+
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def iso_date(text: str) -> date:
+    """A ``YYYY-MM-DD`` date in ASCII digits; ``ValueError`` otherwise.
+
+    From Python 3.11, ``date.fromisoformat`` alone also takes ``20200101`` and week dates.
+    """
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"expected YYYY-MM-DD, got {text!r}")
+    return date.fromisoformat(text)
 
 
 def _check_timestamp(timestamp: int) -> None:

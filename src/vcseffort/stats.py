@@ -7,8 +7,7 @@ import io
 import math
 import sys
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import ParameterError
 
@@ -36,16 +35,14 @@ STATUS_OK = "ok"
 STATUS_INSUFFICIENT = "insufficient-data"
 
 
-@dataclass(frozen=True)
-class KsResult:
+class KsResult(NamedTuple):
     d_statistic: float
     p_value: float
     n1: int
     n2: int
 
 
-@dataclass(frozen=True)
-class PopulationSummary:
+class PopulationSummary(NamedTuple):
     n: int
     minimum: float
     q1: float
@@ -55,8 +52,7 @@ class PopulationSummary:
     maximum: float
 
 
-@dataclass(frozen=True)
-class RepresentativenessRow:
+class RepresentativenessRow(NamedTuple):
     cutoff: int
     status: str
     all_summary: PopulationSummary | None

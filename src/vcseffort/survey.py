@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from datetime import date
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import IngestionError
 from .identity import CanonicalDeveloper, email_index
-from .ingest import open_input
+from .ingest import iso_date, open_input
 
 SELF_CLASSES = ("full", "part", "occasional", "")
 HOURS_BUCKETS = ("gt40", "40", "30", "20", "10", "lt5", "")
@@ -36,8 +35,7 @@ _TRUTHY = ("1", "true", "yes")
 _FALSY = ("", "0", "false", "no")
 
 
-@dataclass(frozen=True)
-class SurveyResponse:
+class SurveyResponse(NamedTuple):
     respondent_email: str
     self_class: str
     hours_bucket: str
@@ -45,16 +43,14 @@ class SurveyResponse:
     free_text_flag: bool = False  # set when free-text answers mark the response suspect
 
 
-@dataclass(frozen=True)
-class SurveyLabel:
+class SurveyLabel(NamedTuple):
     developer_id: str
     label: str  # LABEL_FULL or LABEL_NON_FULL
     provenance: str  # self | triangulated | amended
     consistent: bool = True
 
 
-@dataclass(frozen=True)
-class Exclusion:
+class Exclusion(NamedTuple):
     respondent_email: str
     reason: str
 
@@ -91,7 +87,7 @@ def load_survey(path: str) -> list[SurveyResponse]:
                     f"survey file {path} row {row_no}: bad hours_bucket {hours!r}"
                 )
             try:
-                when = date.fromisoformat(date_text)
+                when = iso_date(date_text)
             except ValueError:
                 raise IngestionError(
                     f"survey file {path} row {row_no}: bad survey_date {date_text!r}"

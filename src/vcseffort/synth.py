@@ -10,10 +10,10 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from datetime import date
 from itertools import accumulate
 from pathlib import Path
+from typing import NamedTuple
 
 from .activity import date_to_epoch, subtract_months
 from .errors import GenerationError
@@ -27,8 +27,7 @@ from .survey import (
 )
 
 
-@dataclass(frozen=True)
-class PopulationSpec:
+class PopulationSpec(NamedTuple):
     n_fulltime: int
     n_other: int
     theta_true: int
@@ -53,8 +52,7 @@ class PopulationSpec:
             raise GenerationError(f"skew_exponent must be > 0, got {self.skew_exponent}")
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+class GroundTruth(NamedTuple):
     theta_true: int
     min_fulltime_activity: int | None
     max_other_activity: int | None
@@ -68,8 +66,7 @@ class GroundTruth:
         return (low, self.min_fulltime_activity)
 
 
-@dataclass(frozen=True)
-class SyntheticPopulation:
+class SyntheticPopulation(NamedTuple):
     spec: PopulationSpec
     counts: dict[str, int]  # developer id -> activity in the generation window
     labels: tuple[SurveyLabel, ...]

@@ -10,6 +10,7 @@ import pytest
 from vcseffort.activity import (
     ACTIVITY_CSV_HEADER,
     METRIC_ACTIVE_DAYS,
+    ActivityMatrix,
     PeriodSpec,
     activity_in_window,
     aggregate,
@@ -187,6 +188,26 @@ def test_matrix_csv_layout():
     lines = matrix.to_csv().splitlines()
     assert lines[0] == ",".join(ACTIVITY_CSV_HEADER)
     assert lines[1:] == ["a@x.org,13s2,1", "b@x.org,13s1,2"]
+
+
+def test_matrices_do_not_share_their_default_counts():
+    first, second = ActivityMatrix("commits", 6, []), ActivityMatrix("commits", 6, [])
+    first.counts["a@x.org"] = {"13s1": 1}
+    assert second.counts == {}
+
+
+@pytest.mark.parametrize("field, value", [
+    ("metric", METRIC_ACTIVE_DAYS),
+    ("period_months", 1),
+    ("period_labels", ["13s1"]),
+    ("counts", {"a@x.org": {"13s1": 1}}),
+    ("overflow_commits", 1),
+])
+def test_matrices_differing_in_one_field_are_not_equal(field, value):
+    matrix, other = ActivityMatrix("commits", 6, []), ActivityMatrix("commits", 6, [])
+    assert matrix == other
+    setattr(other, field, value)
+    assert matrix != other
 
 
 def test_period_spec_validation():

@@ -379,6 +379,51 @@ def test_flag_value_gets_the_same_checks(key, value, reference_inputs, tmp_path)
     assert excinfo.value.code == 2
 
 
+# Forms Python 3.11's date.fromisoformat takes and 3.10's does not, and other near misses.
+NOT_YYYY_MM_DD = ["20200101", "2020-W01-1", "2020-1-1", "\uff12\uff10\uff12\uff10-01-01"]
+
+
+@pytest.mark.parametrize("text", NOT_YYYY_MM_DD)
+def test_survey_date_must_be_yyyy_mm_dd(text, reference_inputs, tmp_path, capsys):
+    survey = tmp_path / "survey.csv"
+    rows = reference_inputs["survey"].read_text(encoding="utf-8")
+    survey.write_text(rows.replace("2013-02-01", text, 1), encoding="utf-8")
+    code, _, err = run(
+        ["calibrate", "--log", str(reference_inputs["log"]), "--survey", str(survey),
+         "--period-months", "1", "--out", str(tmp_path / "o")],
+        capsys,
+    )
+    assert code == EXIT_IO
+    assert f"row 2: bad survey_date {text!r}" in err
+
+
+@pytest.mark.parametrize("text", NOT_YYYY_MM_DD)
+def test_anchor_must_be_yyyy_mm_dd(text, reference_inputs, tmp_path, capsys):
+    args = ["estimate", "--log", str(reference_inputs["log"]), "--theta", "10",
+            "--alignment", "rolling", "--out", str(tmp_path / "o")]
+    with pytest.raises(SystemExit) as excinfo:
+        main([*args, "--anchor", text])
+    assert excinfo.value.code == EXIT_CONFIG
+    assert f"expected YYYY-MM-DD, got {text!r}" in capsys.readouterr().err
+
+    config = tmp_path / "run.conf"
+    config.write_text(f"anchor = {text}\n", encoding="utf-8")
+    code, _, err = run([*args, "--config", str(config)], capsys)
+    assert code == EXIT_CONFIG
+    assert f"anchor: expected YYYY-MM-DD, got {text!r}" in err
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    probe = "import sys, vcseffort.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=Path(__file__).resolve().parents[1],
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "[]\n"
+
+
 def test_config_file_cannot_name_another_config(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text("config = x\n", encoding="utf-8")

@@ -12,6 +12,7 @@ from typing import get_type_hints
 
 import pytest
 
+import vcseffort
 from vcseffort.errors import ConfigError, IngestionError
 from vcseffort.ingest import (
     CommitRecord,
@@ -415,6 +416,29 @@ def test_commit_record_public_surface():
     assert tuple(record) == ("h1", "Ada", "a@x.y", 5, True) == record
     with pytest.raises(AttributeError):
         record.hash = "h2"
+
+
+EXPORTED_RECORDS = [
+    cls for cls in map(vars(vcseffort).get, vcseffort.__all__)
+    if isinstance(cls, type) and not issubclass(cls, Exception)
+]
+
+
+def test_the_activity_matrix_is_the_one_exported_record_that_is_not_a_tuple():
+    assert [cls.__name__ for cls in EXPORTED_RECORDS if not issubclass(cls, tuple)] == [
+        "ActivityMatrix"
+    ]
+
+
+@pytest.mark.parametrize(
+    "cls", [cls for cls in EXPORTED_RECORDS if issubclass(cls, tuple)], ids=lambda cls: cls.__name__
+)
+def test_exported_tuple_records_are_immutable(cls):
+    record = cls(*[None] * len(cls._fields))
+    for field in cls._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 1)
+    assert record == (None,) * len(cls._fields)
 
 
 @pytest.mark.parametrize("fmt, to_line", [("pipe", to_pipe_line), ("jsonl", to_jsonl_line)])

@@ -1,16 +1,16 @@
-"""Activity aggregation: bucketing commits into fixed-length periods per developer."""
+"""Activity aggregation: bucketing commit timestamps into fixed-length periods per developer."""
 
 from __future__ import annotations
 
 import calendar
 import csv
 import io
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from datetime import date, datetime, timezone
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from itertools import chain, islice
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ConfigError, ParameterError
-from .ingest import CommitRecord
 
 METRIC_COMMITS = "commits"
 METRIC_ACTIVE_DAYS = "active-days"
@@ -143,60 +143,85 @@ def rolling_windows(
 
 
 def _bucket(
-    commits: Iterable[CommitRecord],
+    timelines: Mapping[tuple[str, str], Sequence[int]],
     assignments: Mapping[tuple[str, str], str],
     bounds: Sequence[int],
     metric: str,
 ) -> tuple[list[dict[str, int]], int]:
-    """In one pass, ``{developer_id: activity}`` for each window ``[bounds[i], bounds[i + 1])``.
+    """``{developer_id: activity}`` for each window ``[bounds[i], bounds[i + 1])``.
 
-    A commit counts for the developer ``assignments[author_name, author_email]``.
-    Also returns the number of commits at or after ``bounds[-1]``; commits before
-    ``bounds[0]`` are dropped. An active day is a distinct UTC day, ``timestamp // 86400``.
+    ``timelines`` maps each (author_name, author_email) pair to its sorted
+    timestamps, which count for the developer ``assignments[pair]``. Also
+    returns the number of commits at or after ``bounds[-1]``; commits before
+    ``bounds[0]`` are dropped. An active day is a distinct UTC day,
+    ``timestamp // 86400``. Each developer's sorted points are walked with
+    bisect, one step per window the developer is active in and, under
+    ``active-days``, one per active day: a window without activity costs nothing.
     """
-    last = len(bounds) - 1
-    by_day = metric == METRIC_ACTIVE_DAYS
-    windows: list[dict[str, int]] = [{} for _ in range(last)]
-    seen_days: list[set[tuple[str, int]]] = [set() for _ in range(last)]
+    first, end = bounds[0], bounds[-1]
     overflow = 0
-    for commit in commits:
-        timestamp = commit.author_timestamp
-        index = bisect_right(bounds, timestamp) - 1
-        if index == last:
-            overflow += 1
-            continue
-        if index < 0:
-            continue
-        developer_id = assignments[commit.author_name, commit.author_email]
-        if by_day:
-            day = (developer_id, timestamp // 86400)
-            if day in seen_days[index]:
-                continue
-            seen_days[index].add(day)
-        row = windows[index]
-        row[developer_id] = row.get(developer_id, 0) + 1
+    # developer_id -> the (timestamps, lo, hi) ranges of its pairs inside [first, end).
+    ranges: dict[str, list[tuple[Sequence[int], int, int]]] = {}
+    for pair, stamps in timelines.items():
+        hi = bisect_left(stamps, end)
+        overflow += len(stamps) - hi
+        lo = bisect_left(stamps, first, 0, hi)
+        if lo < hi:
+            developer_id = assignments[pair]
+            found = ranges.get(developer_id)
+            if found is None:
+                ranges[developer_id] = [(stamps, lo, hi)]
+            else:
+                found.append((stamps, lo, hi))
+
+    by_day = metric == METRIC_ACTIVE_DAYS
+    windows: list[dict[str, int]] = [{} for _ in range(len(bounds) - 1)]
+    for developer_id, found in ranges.items():
+        if len(found) == 1:
+            points, start, stop = found[0]
+        else:
+            points = sorted(
+                chain.from_iterable(islice(stamps, lo, hi) for stamps, lo, hi in found)
+            )
+            start, stop = 0, len(points)
+        while start < stop:
+            index = bisect_right(bounds, points[start]) - 1
+            cut = bisect_left(points, bounds[index + 1], start, stop)
+            if by_day:
+                count = 0
+                while start < cut:
+                    count += 1
+                    start = bisect_left(points, points[start] // 86400 * 86400 + 86400, start, cut)
+            else:
+                count = cut - start
+            windows[index][developer_id] = count
+            start = cut
     return windows, overflow
 
 
 def aggregate(
-    commits: Sequence[CommitRecord],
+    timelines: Mapping[tuple[str, str], Sequence[int]],
     assignments: Mapping[tuple[str, str], str],
     spec: PeriodSpec,
     metric: str = METRIC_COMMITS,
 ) -> ActivityMatrix:
-    """Bucket commits into periods; a timestamp on a boundary joins the later period."""
+    """Bucket timelines, ``{(name, email): sorted timestamps}``, into periods.
+
+    A timestamp on a boundary joins the later period.
+    """
     spec.validate()
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
 
     matrix = ActivityMatrix(metric, spec.length_months, [])
-    if not commits:
+    if not timelines:
         return matrix
 
-    earliest = min(c.author_timestamp for c in commits)
+    earliest = min(stamps[0] for stamps in timelines.values())
     if spec.alignment == ALIGNMENT_CALENDAR:
+        latest = max(stamps[-1] for stamps in timelines.values())
         low = semester_index(epoch_to_utc_date(earliest))
-        high = semester_index(epoch_to_utc_date(max(c.author_timestamp for c in commits)))
+        high = semester_index(epoch_to_utc_date(latest))
         matrix.period_labels = [semester_label(i) for i in range(low, high + 1)]
         bounds = [_semester_start(i) for i in range(low, high + 2)]
     else:
@@ -204,7 +229,7 @@ def aggregate(
         matrix.period_labels = [label for label, _, _ in windows]
         bounds = [start for _, start, _ in windows] + [date_to_epoch(spec.anchor)]
 
-    per_window, matrix.overflow_commits = _bucket(commits, assignments, bounds, metric)
+    per_window, matrix.overflow_commits = _bucket(timelines, assignments, bounds, metric)
     for label, row in zip(matrix.period_labels, per_window):
         for developer_id, count in row.items():
             matrix.counts.setdefault(developer_id, {})[label] = count
@@ -212,17 +237,17 @@ def aggregate(
 
 
 def activity_in_window(
-    commits: Iterable[CommitRecord],
+    timelines: Mapping[tuple[str, str], Sequence[int]],
     assignments: Mapping[tuple[str, str], str],
     window_end: date,
     length_months: int,
     metric: str = METRIC_COMMITS,
 ) -> dict[str, int]:
-    """Per-developer activity in the half-open window [end - length, end)."""
+    """Per-developer activity of the timelines in the half-open window [end - length, end)."""
     if length_months < 1:
         raise ParameterError(f"window length must be >= 1 month, got {length_months}")
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
     bounds = [date_to_epoch(subtract_months(window_end, length_months)), date_to_epoch(window_end)]
-    (counts,), _ = _bucket(commits, assignments, bounds, metric)
+    (counts,), _ = _bucket(timelines, assignments, bounds, metric)
     return counts

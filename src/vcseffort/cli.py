@@ -180,7 +180,7 @@ def _write_outputs(config: argparse.Namespace, files: dict[str, object], record:
 
 
 def _ingest(config: argparse.Namespace):
-    """The kept commits, their developer assignments and roster, and the ``ingest`` record."""
+    """Kept timelines, their developer assignments and roster, and the ``ingest`` record."""
     sources = [source for source in (config.log, config.commits, config.repo) if source]
     if len(sources) != 1:
         raise ConfigError("exactly one of --log, --commits, or --repo is required")
@@ -210,14 +210,16 @@ def _ingest(config: argparse.Namespace):
         "malformed": len(result.malformed),
         "bot_excluded": bots,
         "merge_excluded": merges,
-        "kept": len(kept),
+        "kept": sum(map(len, kept.values())),
     }
+    # Only the timelines are read from here on: free the records before identities peak.
+    del result
     aliases = load_alias_map(config.aliases) if config.aliases else AliasMap()
     assignments, roster = resolve_identities(kept, aliases, config.name_merging)
     return kept, assignments, roster, ingest_info
 
 
-def _survey_labels(config: argparse.Namespace, commits, assignments, roster):
+def _survey_labels(config: argparse.Namespace, timelines, assignments, roster):
     """Survey labels, and each developer's activity in the window that ends at the survey."""
     if not config.survey:
         raise ConfigError(f"{config.command} requires --survey")
@@ -229,12 +231,12 @@ def _survey_labels(config: argparse.Namespace, commits, assignments, roster):
         raise CalibrationError("no survey response matched the developer roster")
     window_end = config.anchor or max(response.survey_date for response in responses)
     return labels, exclusions, window_end, activity_in_window(
-        commits, assignments, window_end, config.period_months, config.metric
+        timelines, assignments, window_end, config.period_months, config.metric
     )
 
 
-def _calibrate_flow(config: argparse.Namespace, commits, assignments, roster):
-    labels, exclusions, window_end, counts = _survey_labels(config, commits, assignments, roster)
+def _calibrate_flow(config: argparse.Namespace, timelines, assignments, roster):
+    labels, exclusions, window_end, counts = _survey_labels(config, timelines, assignments, roster)
     metrics = sweep(counts, labels, config.theta_max)
     selection = select_theta(metrics, config.select)
     full = sum(1 for label in labels if label.label == LABEL_FULL)
@@ -257,8 +259,8 @@ def _calibrate_flow(config: argparse.Namespace, commits, assignments, roster):
 
 
 def cmd_calibrate(config: argparse.Namespace) -> int:
-    commits, assignments, roster, ingest_info = _ingest(config)
-    metrics, selection, payload = _calibrate_flow(config, commits, assignments, roster)
+    timelines, assignments, roster, ingest_info = _ingest(config)
+    metrics, selection, payload = _calibrate_flow(config, timelines, assignments, roster)
     _write_outputs(
         config,
         {"sweep.csv": sweep_to_csv(metrics), "selection.json": payload},
@@ -277,15 +279,15 @@ def cmd_estimate(config: argparse.Namespace) -> int:
         raise ConfigError("estimate requires exactly one of --theta or --survey")
     spec = PeriodSpec(config.period_months, config.alignment, config.anchor)
     spec.validate()
-    commits, assignments, roster, ingest_info = _ingest(config)
+    timelines, assignments, roster, ingest_info = _ingest(config)
 
     result = {"theta": config.theta, "theta_provenance": "explicit"}
     if config.theta is None:
-        _, selection, result["calibration"] = _calibrate_flow(config, commits, assignments, roster)
+        _, selection, result["calibration"] = _calibrate_flow(config, timelines, assignments, roster)
         result.update(theta=selection.selected_theta, theta_provenance="calibrated")
     theta = result["theta"]
 
-    matrix = aggregate(commits, assignments, spec, config.metric)
+    matrix = aggregate(timelines, assignments, spec, config.metric)
 
     thetas = list(range(1, config.theta_max + 1)) if config.theta_max else []
     if theta not in thetas:
@@ -320,8 +322,8 @@ def cmd_estimate(config: argparse.Namespace) -> int:
 
 
 def cmd_representativeness(config: argparse.Namespace) -> int:
-    commits, assignments, roster, ingest_info = _ingest(config)
-    labels, exclusions, window_end, counts = _survey_labels(config, commits, assignments, roster)
+    timelines, assignments, roster, ingest_info = _ingest(config)
+    labels, exclusions, window_end, counts = _survey_labels(config, timelines, assignments, roster)
     all_counts = {developer.developer_id: counts.get(developer.developer_id, 0) for developer in roster}
     surveyed_counts = {label.developer_id: all_counts[label.developer_id] for label in labels}
     rows = representativeness_table(all_counts, surveyed_counts, config.cutoffs)

@@ -7,7 +7,7 @@ import unicodedata
 from typing import Iterable, NamedTuple
 
 from .errors import ConfigError
-from .ingest import CommitRecord, open_input
+from .ingest import open_input
 
 
 class AliasMap(NamedTuple):
@@ -88,11 +88,14 @@ def _checked_directives(aliases: AliasMap) -> dict[str, str]:
 
 
 def resolve_identities(
-    commits: Iterable[CommitRecord],
+    pairs: Iterable[tuple[str, str]],
     aliases: AliasMap | None = None,
     name_merging: bool = False,
 ) -> tuple[dict[tuple[str, str], str], list[CanonicalDeveloper]]:
     """Group observed (name, email) pairs into canonical developers.
+
+    ``pairs`` yields (author_name, author_email) pairs and may repeat one; a
+    timelines dict from ``apply_filters`` yields its keys.
 
     Each pair joins the group of every merge key it has: its non-empty
     lowercased email, its normalized name when ``name_merging`` is on, and the
@@ -106,9 +109,7 @@ def resolve_identities(
     sorted by developer id).
     """
     canonical_for = _checked_directives(aliases or AliasMap())
-    pairs: dict[tuple[str, str], None] = {}
-    for commit in commits:
-        pairs[commit.author_name, commit.author_email] = None
+    pairs = dict.fromkeys(pairs)
 
     uf = _UnionFind()
     for name, email in pairs:

@@ -7,6 +7,7 @@ import json
 import re
 import subprocess
 import sys
+from collections import defaultdict
 from contextlib import contextmanager
 from datetime import date
 from functools import partial
@@ -280,22 +281,27 @@ def compile_bot_patterns(patterns: Iterable[str]) -> list[re.Pattern[str]]:
 
 def apply_filters(
     commits: Iterable[CommitRecord], config: FilterConfig
-) -> tuple[list[CommitRecord], int, int]:
-    """Drop bot-authored and (optionally) merge commits.
+) -> tuple[dict[tuple[str, str], list[int]], int, int]:
+    """Drop bot-authored and (optionally) merge commits, and group the rest by author.
 
-    Returns (kept, bot_excluded, merge_excluded); the three partition the input.
-    Bot matching is case-insensitive over both author name and email. The
-    verdict depends only on the (name, email) pair, so the patterns run once
+    Returns (timelines, bot_excluded, merge_excluded). ``timelines`` maps each
+    (author_name, author_email) pair with a kept commit to its kept timestamps,
+    sorted ascending; a pair with no kept commit has no timeline. The kept
+    timestamps and the two counts partition the input. Bot matching is
+    case-insensitive over both author name and email, and a bot's merge counts
+    as a bot. The verdict depends only on the pair, so the patterns run once
     per distinct pair.
     """
     patterns = compile_bot_patterns(config.bot_patterns)
+    exclude_merges = config.exclude_merges
     is_bot: dict[tuple[str, str], bool] = {}
-    kept: list[CommitRecord] = []
+    timelines: defaultdict[tuple[str, str], list[int]] = defaultdict(list)
     bots = 0
     merges = 0
+    # Indexing is faster than the field names here: (hash, name, email, timestamp, is_merge).
     for commit in commits:
+        author = commit[1], commit[2]
         if patterns:
-            author = commit.author_name, commit.author_email
             verdict = is_bot.get(author)
             if verdict is None:
                 verdict = is_bot[author] = any(
@@ -304,11 +310,13 @@ def apply_filters(
             if verdict:
                 bots += 1
                 continue
-        if config.exclude_merges and commit.is_merge:
+        if exclude_merges and commit[4]:
             merges += 1
         else:
-            kept.append(commit)
-    return kept, bots, merges
+            timelines[author].append(commit[3])
+    for stamps in timelines.values():
+        stamps.sort()
+    return dict(timelines), bots, merges
 
 
 def read_repository_log(repo_path: str) -> list[str]:

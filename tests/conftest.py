@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from vcseffort.activity import ActivityMatrix, date_to_epoch
+from vcseffort.ingest import FilterConfig, apply_filters
 from vcseffort.survey import (
     LABEL_FULL,
     LABEL_NON_FULL,
@@ -66,6 +67,11 @@ ARGMAX_RANGE = (9, 11)
 
 REFERENCE_PERIOD_LABEL = "2013-01-01"
 REFERENCE_ANCHOR = date(2013, 2, 1)
+
+
+def timelines(commits) -> dict[tuple[str, str], list[int]]:
+    """Unfiltered timelines, ``{(name, email): sorted timestamps}``, of a commit list."""
+    return apply_filters(commits, FilterConfig())[0]
 
 
 def reference_labels() -> list[SurveyLabel]:

@@ -3,16 +3,21 @@
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
+from calendar import monthrange
 from datetime import date, datetime, timezone
 
 import pytest
 
+from conftest import timelines
 from vcseffort.activity import (
     ACTIVITY_CSV_HEADER,
     METRIC_ACTIVE_DAYS,
+    METRIC_COMMITS,
     ActivityMatrix,
     PeriodSpec,
     activity_in_window,
+    _semester_start,
     aggregate,
     date_to_epoch,
     epoch_to_utc_date,
@@ -62,7 +67,7 @@ def test_calendar_aggregate_spans_gaps():
         commit(2, ts(2013, 2, 2)),
         commit(3, ts(2014, 3, 1)),
     ]
-    matrix = aggregate(commits, simple_assignments(commits), PeriodSpec())
+    matrix = aggregate(timelines(commits), simple_assignments(commits), PeriodSpec())
     assert matrix.period_labels == ["13s1", "13s2", "14s1"]
     assert matrix.cell("a@x.org", "13s1") == 2
     assert matrix.cell("a@x.org", "13s2") == 0
@@ -75,7 +80,7 @@ def test_calendar_boundary_joins_later_period():
     # Midnight UTC on July 1 is the first instant of the second half-year.
     boundary = int(datetime(2013, 7, 1, 0, 0, 0, tzinfo=timezone.utc).timestamp())
     commits = [commit(1, boundary), commit(2, boundary - 1)]
-    matrix = aggregate(commits, simple_assignments(commits), PeriodSpec())
+    matrix = aggregate(timelines(commits), simple_assignments(commits), PeriodSpec())
     assert matrix.cell("a@x.org", "13s2") == 1
     assert matrix.cell("a@x.org", "13s1") == 1
 
@@ -97,7 +102,7 @@ def test_rolling_aggregate_boundaries_and_overflow():
         commit(4, date_to_epoch(anchor) + 5),            # past the anchor: overflow
     ]
     spec = PeriodSpec(1, "rolling", anchor)
-    matrix = aggregate(commits, simple_assignments(commits), spec)
+    matrix = aggregate(timelines(commits), simple_assignments(commits), spec)
     assert matrix.cell("a@x.org", "2013-01-01") == 1
     assert matrix.cell("a@x.org", "2012-12-01") == 1
     assert matrix.overflow_commits == 2
@@ -107,7 +112,9 @@ def test_rolling_aggregate_boundaries_and_overflow():
 def test_rolling_aggregate_all_overflow():
     anchor = date(2013, 2, 1)
     commits = [commit(1, date_to_epoch(anchor) + 10)]
-    matrix = aggregate(commits, simple_assignments(commits), PeriodSpec(6, "rolling", anchor))
+    matrix = aggregate(
+        timelines(commits), simple_assignments(commits), PeriodSpec(6, "rolling", anchor)
+    )
     assert matrix.period_labels == []
     assert matrix.overflow_commits == 1
 
@@ -122,10 +129,10 @@ def test_active_days_metric_counts_distinct_utc_days():
         commit(5, ts(2013, 4, 2, hour=0, minute=1)),
     ]
     matrix = aggregate(
-        commits, simple_assignments(commits), PeriodSpec(), METRIC_ACTIVE_DAYS
+        timelines(commits), simple_assignments(commits), PeriodSpec(), METRIC_ACTIVE_DAYS
     )
     assert matrix.cell("a@x.org", "13s1") == 4
-    commit_matrix = aggregate(commits, simple_assignments(commits), PeriodSpec())
+    commit_matrix = aggregate(timelines(commits), simple_assignments(commits), PeriodSpec())
     assert commit_matrix.cell("a@x.org", "13s1") == 5
 
 
@@ -139,7 +146,7 @@ def test_activity_in_window_half_open():
         commit(3, end_epoch),        # excluded: window end
         commit(4, start_epoch - 1),  # excluded: before start
     ]
-    counts = activity_in_window(commits, simple_assignments(commits), end, 1)
+    counts = activity_in_window(timelines(commits), simple_assignments(commits), end, 1)
     assert counts == {"a@x.org": 2}
 
 
@@ -151,7 +158,7 @@ def test_activity_in_window_active_days():
         commit(3, ts(2013, 1, 11)),
     ]
     counts = activity_in_window(
-        commits, simple_assignments(commits), end, 1, METRIC_ACTIVE_DAYS
+        timelines(commits), simple_assignments(commits), end, 1, METRIC_ACTIVE_DAYS
     )
     assert counts == {"a@x.org": 2}
 
@@ -163,10 +170,10 @@ def test_commits_sharing_a_hash_count_for_their_own_authors():
         CommitRecord("h1", "A", "a@x.org", t, False),
         CommitRecord("h1", "B", "b@x.org", t + 100, False),
     ]
-    assignments, _ = resolve_identities(commits)
-    matrix = aggregate(commits, assignments, PeriodSpec())
+    assignments, _ = resolve_identities(timelines(commits))
+    matrix = aggregate(timelines(commits), assignments, PeriodSpec())
     assert matrix.counts == {"a@x.org": {"13s1": 1}, "b@x.org": {"13s1": 1}}
-    assert activity_in_window(commits, assignments, date(2013, 4, 1), 1) == {
+    assert activity_in_window(timelines(commits), assignments, date(2013, 4, 1), 1) == {
         "a@x.org": 1, "b@x.org": 1,
     }
 
@@ -184,7 +191,7 @@ def test_matrix_csv_layout():
         commit(2, ts(2013, 8, 1), "a@x.org"),
         commit(3, ts(2013, 2, 2), "b@x.org"),
     ]
-    matrix = aggregate(commits, simple_assignments(commits), PeriodSpec())
+    matrix = aggregate(timelines(commits), simple_assignments(commits), PeriodSpec())
     lines = matrix.to_csv().splitlines()
     assert lines[0] == ",".join(ACTIVITY_CSV_HEADER)
     assert lines[1:] == ["a@x.org,13s2,1", "b@x.org,13s1,2"]
@@ -242,7 +249,7 @@ def test_rolling_aggregate_matches_interval_oracle():
                 commit(i, date_to_epoch(anchor) + offset, f"d{rng.randrange(4)}@x.org")
             )
         spec = PeriodSpec(months, "rolling", anchor)
-        matrix = aggregate(commits, simple_assignments(commits), spec)
+        matrix = aggregate(timelines(commits), simple_assignments(commits), spec)
 
         # Rebuild window bounds independently via month subtraction.
         bounds = {}
@@ -278,7 +285,7 @@ def test_calendar_aggregate_matches_date_oracle():
             commit(i, rng.randrange(ts(2010, 1, 1), ts(2015, 12, 30)), f"d{rng.randrange(3)}@x.org")
             for i in range(rng.randrange(1, 50))
         ]
-        matrix = aggregate(commits, simple_assignments(commits), PeriodSpec())
+        matrix = aggregate(timelines(commits), simple_assignments(commits), PeriodSpec())
         recount: dict[tuple[str, str], int] = {}
         for c in commits:
             day = epoch_to_utc_date(c.author_timestamp)
@@ -325,7 +332,7 @@ def test_calendar_active_days_match_date_oracle():
         # Forty days around the July 1 boundary, so that many commits share a day.
         commits = _random_commits(rng, ts(2013, 6, 10), ts(2013, 7, 20))
         matrix = aggregate(
-            commits, simple_assignments(commits), PeriodSpec(), METRIC_ACTIVE_DAYS
+            timelines(commits), simple_assignments(commits), PeriodSpec(), METRIC_ACTIVE_DAYS
         )
 
         def label_of(timestamp):
@@ -344,7 +351,7 @@ def test_rolling_active_days_match_date_oracle():
         anchor_epoch = date_to_epoch(anchor)
         commits = _random_commits(rng, anchor_epoch - 70 * 86400, anchor_epoch + 10 * 86400)
         matrix = aggregate(
-            commits,
+            timelines(commits),
             simple_assignments(commits),
             PeriodSpec(months, "rolling", anchor),
             METRIC_ACTIVE_DAYS,
@@ -385,9 +392,9 @@ def test_activity_in_window_matches_interval_oracle():
             email: len({epoch_to_utc_date(c.author_timestamp) for c in inside if c.author_email == email})
             for email in expected_commits
         }
-        assert activity_in_window(commits, assignments, end, months) == expected_commits
+        assert activity_in_window(timelines(commits), assignments, end, months) == expected_commits
         assert (
-            activity_in_window(commits, assignments, end, months, METRIC_ACTIVE_DAYS)
+            activity_in_window(timelines(commits), assignments, end, months, METRIC_ACTIVE_DAYS)
             == expected_days
         )
 
@@ -399,25 +406,25 @@ def test_commit_order_does_not_change_buckets():
     assignments = simple_assignments(commits)
     specs = [PeriodSpec(), PeriodSpec(2, "rolling", anchor)]
     for metric in ("commits", METRIC_ACTIVE_DAYS):
-        matrices = [aggregate(commits, assignments, spec, metric) for spec in specs]
-        window = activity_in_window(commits, assignments, anchor, 6, metric)
+        matrices = [aggregate(timelines(commits), assignments, spec, metric) for spec in specs]
+        window = activity_in_window(timelines(commits), assignments, anchor, 6, metric)
         for _ in range(5):
             shuffled = list(commits)
             rng.shuffle(shuffled)
             for spec, matrix in zip(specs, matrices):
-                again = aggregate(shuffled, assignments, spec, metric)
+                again = aggregate(timelines(shuffled), assignments, spec, metric)
                 assert again.period_labels == matrix.period_labels
                 assert again.counts == matrix.counts
                 assert again.overflow_commits == matrix.overflow_commits
                 assert again.to_csv() == matrix.to_csv()
-            assert activity_in_window(shuffled, assignments, anchor, 6, metric) == window
+            assert activity_in_window(timelines(shuffled), assignments, anchor, 6, metric) == window
 
 
 def test_last_accepted_timestamp_lands_in_last_half_year():
     last = 253402300799  # 9999-12-31T23:59:59Z, the largest timestamp ingest accepts
     commits = [commit(1, last), commit(2, last - 150 * 86400)]
     for metric in ("commits", METRIC_ACTIVE_DAYS):
-        matrix = aggregate(commits, simple_assignments(commits), PeriodSpec(), metric)
+        matrix = aggregate(timelines(commits), simple_assignments(commits), PeriodSpec(), metric)
         assert matrix.period_labels == ["99s2"]
         assert matrix.cell("a@x.org", "99s2") == 2
         assert matrix.overflow_commits == 0
@@ -431,4 +438,113 @@ def test_window_start_before_year_one_is_a_parameter_error():
         activity_in_window([], {}, date(2013, 1, 1), 100000)
     commits = [commit(1, ts(2013, 1, 5))]
     with pytest.raises(ParameterError):
-        aggregate(commits, simple_assignments(commits), PeriodSpec(30000, "rolling", date(2020, 1, 1)))
+        aggregate(
+            timelines(commits),
+            simple_assignments(commits),
+            PeriodSpec(30000, "rolling", date(2020, 1, 1)),
+        )
+
+
+def _per_commit_bucket(commits, assignments, bounds, metric):
+    """The per-commit bucketing loop that timelines replaced, kept as the reference."""
+    last = len(bounds) - 1
+    by_day = metric == METRIC_ACTIVE_DAYS
+    windows = [{} for _ in range(last)]
+    seen_days = [set() for _ in range(last)]
+    overflow = 0
+    for commit in commits:
+        timestamp = commit.author_timestamp
+        index = bisect_right(bounds, timestamp) - 1
+        if index == last:
+            overflow += 1
+            continue
+        if index < 0:
+            continue
+        developer_id = assignments[commit.author_name, commit.author_email]
+        if by_day:
+            day = (developer_id, timestamp // 86400)
+            if day in seen_days[index]:
+                continue
+            seen_days[index].add(day)
+        row = windows[index]
+        row[developer_id] = row.get(developer_id, 0) + 1
+    return windows, overflow
+
+
+def _per_commit_aggregate(commits, assignments, spec, metric):
+    matrix = ActivityMatrix(metric, spec.length_months, [])
+    if not commits:
+        return matrix
+    earliest = min(c.author_timestamp for c in commits)
+    if spec.alignment == "calendar":
+        low = semester_index(epoch_to_utc_date(earliest))
+        high = semester_index(epoch_to_utc_date(max(c.author_timestamp for c in commits)))
+        matrix.period_labels = [semester_label(i) for i in range(low, high + 1)]
+        bounds = [_semester_start(i) for i in range(low, high + 2)]
+    else:
+        windows = rolling_windows(spec.anchor, spec.length_months, earliest)
+        matrix.period_labels = [label for label, _, _ in windows]
+        bounds = [start for _, start, _ in windows] + [date_to_epoch(spec.anchor)]
+    per_window, matrix.overflow_commits = _per_commit_bucket(commits, assignments, bounds, metric)
+    for label, row in zip(matrix.period_labels, per_window):
+        for developer_id, count in row.items():
+            matrix.counts.setdefault(developer_id, {})[label] = count
+    return matrix
+
+
+def _multi_pair_log(rng, anchor, months, all_after_anchor=False):
+    """Commits of developers with several (name, email) pairs each, and their assignments.
+
+    Timestamps hit the rolling bounds, the anchor, two half-year starts, one
+    second before each, and a UTC day on which two pairs of one developer commit.
+    """
+    anchor_epoch = date_to_epoch(anchor)
+    assignments = {}
+    for d in range(rng.randrange(1, 5)):
+        for p in range(rng.randrange(1, 4)):
+            assignments[f"Dev {d}", f"d{d}.{p}@x.org"] = f"dev{d}"
+    pairs = list(assignments)
+    if all_after_anchor:
+        special = [anchor_epoch, anchor_epoch + 1]
+        low, high = anchor_epoch, anchor_epoch + 400 * 86400
+    else:
+        bounds = [start for _, start, _ in rolling_windows(anchor, months, anchor_epoch - 500 * 86400)]
+        bounds += [anchor_epoch, ts(2013, 7, 1, hour=0), ts(2014, 1, 1, hour=0)]
+        special = [t - k for t in bounds for k in (0, 1)]
+        low, high = anchor_epoch - 500 * 86400, anchor_epoch + 40 * 86400
+    stamps = [rng.choice(special) if rng.random() < 0.3 else rng.randrange(low, high)
+              for _ in range(rng.randrange(0, 80))]
+    commits = [CommitRecord(f"h{i}", *rng.choice(pairs), t, False) for i, t in enumerate(stamps)]
+    # Two pairs of one developer commit hours apart on one UTC day.
+    day = rng.randrange(low, high) // 86400 * 86400
+    same_developer = [pair for pair in pairs if assignments[pair] == assignments[pairs[-1]]]
+    if len(same_developer) > 1:
+        commits.append(CommitRecord("x1", *same_developer[0], day + 3600, False))
+        commits.append(CommitRecord("x2", *same_developer[1], day + 7200, False))
+    rng.shuffle(commits)
+    return commits, assignments
+
+
+def test_timeline_bucketing_matches_per_commit_loop():
+    rng = random.Random(8080)
+    for trial in range(160):
+        # Month ends exercise the day clamping of rolling windows.
+        month = rng.randrange(1, 13)
+        anchor = date(2014, month, rng.choice([1, 15, 28, monthrange(2014, month)[1]]))
+        months = rng.choice([1, 2, 3, 6])
+        commits, assignments = _multi_pair_log(rng, anchor, months, all_after_anchor=trial % 8 == 0)
+        if trial % 40 == 0:
+            commits = []
+        elif trial % 80 == 20:
+            # The last accepted second stretches the calendar span to 99s2: ~16,000 periods.
+            commits.append(CommitRecord("last", *next(iter(assignments)), 253402300799, False))
+        grouped = timelines(commits)
+        specs = [PeriodSpec(), PeriodSpec(months, "rolling", anchor)]
+        for metric in (METRIC_COMMITS, METRIC_ACTIVE_DAYS):
+            for spec in specs:
+                assert aggregate(grouped, assignments, spec, metric) == _per_commit_aggregate(
+                    commits, assignments, spec, metric
+                )
+            bounds = [date_to_epoch(subtract_months(anchor, months)), date_to_epoch(anchor)]
+            (expected,), _ = _per_commit_bucket(commits, assignments, bounds, metric)
+            assert activity_in_window(grouped, assignments, anchor, months, metric) == expected

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from conftest import timelines
 from vcseffort.errors import ConfigError
 from vcseffort.identity import (
     AliasMap,
@@ -29,7 +30,7 @@ def test_same_email_merges_regardless_of_name_and_case():
         commit(1, "Ada L", "Ada@Example.org"),
         commit(2, "A. Lovelace", "ada@example.org"),
     ]
-    assignments, roster = resolve_identities(commits)
+    assignments, roster = resolve_identities(timelines(commits))
     assert len(roster) == 1
     assert roster[0].developer_id == "ada@example.org"
     assert assignments == {
@@ -43,13 +44,13 @@ def test_same_email_merges_regardless_of_name_and_case():
 
 def test_different_emails_stay_separate_by_default():
     commits = [commit(1, "Ada", "ada@work.org"), commit(2, "Ada", "ada@home.org")]
-    _, roster = resolve_identities(commits)
+    _, roster = resolve_identities(timelines(commits))
     assert ids_of(roster) == ["ada@home.org", "ada@work.org"]
 
 
 def test_empty_emails_never_merge_by_email():
     commits = [commit(1, "Alpha", ""), commit(2, "Beta", "")]
-    _, roster = resolve_identities(commits)
+    _, roster = resolve_identities(timelines(commits))
     assert ids_of(roster) == ["name:Alpha", "name:Beta"]
     assert all(dev.primary_email == "" for dev in roster)
 
@@ -65,9 +66,9 @@ def test_name_merging_is_opt_in():
         commit(1, "José García", "jg@a.org"),
         commit(2, "jose  garcia", "jg@b.org"),
     ]
-    _, roster_default = resolve_identities(commits)
+    _, roster_default = resolve_identities(timelines(commits))
     assert len(roster_default) == 2
-    _, roster_merged = resolve_identities(commits, name_merging=True)
+    _, roster_merged = resolve_identities(timelines(commits), name_merging=True)
     assert len(roster_merged) == 1
     assert roster_merged[0].developer_id == "jg@a.org"
 
@@ -77,7 +78,7 @@ def test_developer_id_is_smallest_email():
         commit(1, "Ada", "zz@example.org"),
         commit(2, "Ada", "aa@example.org"),
     ]
-    _, roster = resolve_identities(commits, name_merging=True)
+    _, roster = resolve_identities(timelines(commits), name_merging=True)
     assert ids_of(roster) == ["aa@example.org"]
 
 
@@ -88,7 +89,7 @@ def test_alias_directive_forces_merge_by_email_and_name():
         commit(3, "Ada Byron", ""),
     ]
     aliases = AliasMap((("ada@old.org", "ada@new.org"), ("ada byron", "ada@new.org")))
-    assignments, roster = resolve_identities(commits, aliases)
+    assignments, roster = resolve_identities(timelines(commits), aliases)
     assert len(roster) == 1
     assert roster[0].developer_id == "ada@new.org"
     assert assignments[("Ada Byron", "")] == "ada@new.org"
@@ -97,14 +98,14 @@ def test_alias_directive_forces_merge_by_email_and_name():
 def test_alias_match_is_case_insensitive_on_raw_name():
     commits = [commit(1, "ADA BYRON", ""), commit(2, "Ada", "ada@x.org")]
     aliases = AliasMap((("ada byron", "ada@x.org"),))
-    _, roster = resolve_identities(commits, aliases)
+    _, roster = resolve_identities(timelines(commits), aliases)
     assert len(roster) == 1
 
 
 def test_alias_to_unobserved_canonical_email_names_the_group():
     commits = [commit(1, "Ghost", "old@x.org")]
     aliases = AliasMap((("old@x.org", "canonical@x.org"),))
-    _, roster = resolve_identities(commits, aliases)
+    _, roster = resolve_identities(timelines(commits), aliases)
     assert roster[0].developer_id == "canonical@x.org"
 
 
@@ -116,7 +117,7 @@ def test_conflicting_alias_directives_rejected_before_merging():
 
 def test_repeated_identical_directives_allowed():
     aliases = AliasMap((("a@x.org", "b@x.org"), ("A@X.ORG", "B@x.org")))
-    _, roster = resolve_identities([commit(1, "A", "a@x.org")], aliases)
+    _, roster = resolve_identities(timelines([commit(1, "A", "a@x.org")]), aliases)
     assert len(roster) == 1
     # The group holds both emails; the smallest one names the developer.
     assert roster[0].developer_id == "a@x.org"
@@ -124,7 +125,7 @@ def test_repeated_identical_directives_allowed():
 
 def test_assignments_cover_every_pair():
     commits = [commit(i, f"N{i % 3}", f"e{i % 4}@x.org") for i in range(24)]
-    assignments, roster = resolve_identities(commits)
+    assignments, roster = resolve_identities(timelines(commits))
     assert set(assignments) == {(c.author_name, c.author_email) for c in commits}
     assert len(assignments) == 12
     assert set(assignments.values()) == set(ids_of(roster))
@@ -229,7 +230,9 @@ def test_grouping_matches_graph_oracle():
         directives = tuple(
             d for d in directive_pool if rng.random() < 0.4
         )
-        assignments, roster = resolve_identities(commits, AliasMap(directives), name_merging)
+        assignments, roster = resolve_identities(
+            timelines(commits), AliasMap(directives), name_merging
+        )
 
         pairs = []
         for c in commits:
@@ -257,8 +260,8 @@ def test_grouping_matches_graph_oracle():
 
 def test_resolution_is_deterministic():
     commits = [commit(i, f"N{i % 5}", f"e{i % 4}@x.org") for i in range(30)]
-    first = resolve_identities(commits, name_merging=True)
-    second = resolve_identities(commits, name_merging=True)
+    first = resolve_identities(timelines(commits), name_merging=True)
+    second = resolve_identities(timelines(commits), name_merging=True)
     assert first == second
 
 
@@ -274,7 +277,7 @@ def _oracle_naming(component, directives):
 
 
 def _check_naming_against_oracle(commits, directives, name_merging):
-    assignments, roster = resolve_identities(commits, AliasMap(directives), name_merging)
+    assignments, roster = resolve_identities(timelines(commits), AliasMap(directives), name_merging)
     pairs = list(dict.fromkeys((c.author_name, c.author_email) for c in commits))
     lowered = tuple((a.lower(), b.lower()) for a, b in directives)
     components = _oracle_components(pairs, lowered, name_merging)
@@ -354,7 +357,7 @@ def _oracle_ids(components, directives):
 
 
 def _check_ids_against_oracle(commits, directives, name_merging):
-    assignments, roster = resolve_identities(commits, AliasMap(directives), name_merging)
+    assignments, roster = resolve_identities(timelines(commits), AliasMap(directives), name_merging)
     pairs = list(dict.fromkeys((c.author_name, c.author_email) for c in commits))
     lowered = tuple((a.lower(), b.lower()) for a, b in directives)
     components = _oracle_components(pairs, lowered, name_merging)
@@ -411,6 +414,6 @@ def test_ids_stay_distinct_and_match_oracle():
         assert len({dev.developer_id for dev in roster}) == len(roster)
         shuffled = commits[:]
         rng.shuffle(shuffled)
-        assert resolve_identities(shuffled, AliasMap(directives), name_merging) == (
+        assert resolve_identities(timelines(shuffled), AliasMap(directives), name_merging) == (
             assignments, roster
         )

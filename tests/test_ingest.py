@@ -14,6 +14,7 @@ import pytest
 
 import vcseffort
 from vcseffort.errors import ConfigError, IngestionError
+from vcseffort.identity import resolve_identities
 from vcseffort.ingest import (
     CommitRecord,
     DEFAULT_BOT_PATTERNS,
@@ -197,7 +198,7 @@ def test_bot_filtering_matches_name_and_email_case_insensitively():
         CommitRecord("h4", "GERRIT Code Review", "review@x.y", 4, False),
     ]
     kept, bots, merges = apply_filters(commits, FilterConfig(DEFAULT_BOT_PATTERNS))
-    assert [c.hash for c in kept] == ["h3"]
+    assert kept == {("Ada", "ada@x.y"): [3]}
     assert (bots, merges) == (3, 0)
 
 
@@ -208,14 +209,14 @@ def test_word_boundary_in_default_bot_pattern():
         CommitRecord("h2", "build bot", "bb@x.y", 2, False),
     ]
     kept, bots, _ = apply_filters(commits, FilterConfig(DEFAULT_BOT_PATTERNS))
-    assert [c.hash for c in kept] == ["h1"]
+    assert kept == {("Abbot Smith", "abbot@x.y"): [1]}
     assert bots == 1
 
 
 def test_no_filtering_without_patterns_and_merges_kept_by_default():
     commits = [CommitRecord("h1", "robot", "bot@x.y", 1, True)]
     kept, bots, merges = apply_filters(commits, FilterConfig())
-    assert kept == commits
+    assert kept == {("robot", "bot@x.y"): [1]}
     assert (bots, merges) == (0, 0)
 
 
@@ -225,12 +226,15 @@ def test_merge_exclusion_is_opt_in():
         CommitRecord("h2", "Ada", "ada@x.y", 2, False),
     ]
     kept, _, merges = apply_filters(commits, FilterConfig(exclude_merges=True))
-    assert [c.hash for c in kept] == ["h2"]
+    assert kept == {("Ada", "ada@x.y"): [2]}
     assert merges == 1
 
 
 def test_filter_partition_property():
-    """Kept + bot-excluded + merge-excluded always partitions the input."""
+    """Kept + bot-excluded + merge-excluded always partitions the input.
+
+    Every timeline is sorted, whatever the input order.
+    """
     rng = random.Random(99)
     for _ in range(50):
         commits = [
@@ -246,7 +250,35 @@ def test_filter_partition_property():
         exclude_merges = rng.random() < 0.5
         patterns = DEFAULT_BOT_PATTERNS if rng.random() < 0.5 else ()
         kept, bots, merges = apply_filters(commits, FilterConfig(patterns, exclude_merges))
-        assert len(kept) + bots + merges == len(commits)
+        assert sum(map(len, kept.values())) + bots + merges == len(commits)
+        assert all(stamps == sorted(stamps) for stamps in kept.values())
+        shuffled = rng.sample(commits, len(commits))
+        again = apply_filters(shuffled, FilterConfig(patterns, exclude_merges))
+        assert again == (kept, bots, merges)
+
+
+def test_pair_seen_only_in_excluded_merges_has_no_timeline():
+    commits = [
+        CommitRecord("h1", "Ada", "ada@x.y", 1, False),
+        CommitRecord("h2", "Mer Ger", "mg@x.y", 2, True),
+        CommitRecord("h3", "Mer Ger", "mg@x.y", 3, True),
+    ]
+    kept, bots, merges = apply_filters(commits, FilterConfig(exclude_merges=True))
+    assert kept == {("Ada", "ada@x.y"): [1]}
+    assert (bots, merges) == (0, 2)
+    _, roster = resolve_identities(kept)
+    assert [developer.developer_id for developer in roster] == ["ada@x.y"]
+
+
+def test_bot_merge_counts_as_a_bot():
+    commits = [
+        CommitRecord("h1", "build bot", "bb@x.y", 1, True),
+        CommitRecord("h2", "build bot", "bb@x.y", 2, False),
+        CommitRecord("h3", "Ada", "ada@x.y", 3, True),
+    ]
+    kept, bots, merges = apply_filters(commits, FilterConfig(DEFAULT_BOT_PATTERNS, True))
+    assert kept == {}
+    assert (bots, merges) == (2, 1)
 
 
 def test_bot_pattern_file(tmp_path):
@@ -394,7 +426,12 @@ def test_bot_verdict_per_author_matches_per_commit_recount():
                 expected_merges += 1
             else:
                 expected_kept.append(c)
-        assert kept == expected_kept
+        expected_timelines: dict[tuple[str, str], list[int]] = {}
+        for c in expected_kept:
+            expected_timelines.setdefault((c.author_name, c.author_email), []).append(
+                c.author_timestamp
+            )
+        assert kept == expected_timelines
         assert (bots, merges) == (expected_bots, expected_merges)
 
 

@@ -8,6 +8,7 @@ from datetime import date
 
 import pytest
 
+from conftest import timelines
 from vcseffort.activity import activity_in_window
 from vcseffort.calibration import confusion_at, metrics_at, select_theta, sweep
 from vcseffort.errors import GenerationError
@@ -176,8 +177,8 @@ def test_write_fixture_round_trip(tmp_path):
     result = parse_log_file(str(paths["log"]))
     assert result.malformed == []
     assert len(result.records) == sum(population.counts.values())
-    assignments, roster = resolve_identities(result.records)
-    counts = activity_in_window(result.records, assignments, ANCHOR, 6)
+    assignments, roster = resolve_identities(timelines(result.records))
+    counts = activity_in_window(timelines(result.records), assignments, ANCHOR, 6)
     assert counts == population.counts
 
     responses = load_survey(str(paths["survey"]))

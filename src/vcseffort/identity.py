@@ -55,29 +55,14 @@ def normalize_name(name: str) -> str:
     return " ".join(stripped.lower().split())
 
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict[object, object] = {}
-
-    def find(self, item: object) -> object:
-        self.parent.setdefault(item, item)
-        while self.parent[item] != item:
-            self.parent[item] = self.parent[self.parent[item]]
-            item = self.parent[item]
-        return item
-
-    def union(self, a: object, b: object) -> None:
-        root_a, root_b = self.find(a), self.find(b)
-        if root_a != root_b:
-            self.parent[root_b] = root_a
-
-
 def _checked_directives(aliases: AliasMap) -> dict[str, str]:
     """Map each lowercased alias to its lowercased canonical email."""
     canonical_for: dict[str, str] = {}
     for alias, canonical in aliases.directives:
         token = alias.lower()
         target = canonical.lower()
+        if not token or not target:
+            raise ConfigError(f"alias {alias!r} maps to {canonical!r}: neither may be empty")
         previous = canonical_for.get(token)
         if previous is not None and previous != target:
             raise ConfigError(
@@ -109,38 +94,44 @@ def resolve_identities(
     sorted by developer id).
     """
     canonical_for = _checked_directives(aliases or AliasMap())
-    pairs = dict.fromkeys(pairs)
+    pairs = list(dict.fromkeys(pairs))
+    # A union-find over pair indices. Each merge key maps to the first pair
+    # that has it, and every later pair with that key joins that pair's group.
+    parent = list(range(len(pairs)))
 
-    uf = _UnionFind()
-    for name, email in pairs:
-        node = ("pair", name, email)
-        uf.find(node)
+    def find(index: int) -> int:
+        while parent[index] != index:
+            parent[index] = parent[parent[index]]
+            index = parent[index]
+        return index
+
+    by_email: dict[str, int] = {}
+    by_name: dict[str, int] = {}
+    for index, (name, email) in enumerate(pairs):
         lowered = email.lower()
+        keys = [(by_email, canonical_for[t]) for t in (lowered, name.lower()) if t in canonical_for]
         if email:
-            uf.union(("email", lowered), node)
-        if name_merging:
-            normalized = normalize_name(name)
-            if normalized:
-                uf.union(("name", normalized), node)
-        for token in (lowered, name.lower()):
-            canonical = canonical_for.get(token)
-            if canonical is not None:
-                uf.union(("email", canonical), node)
+            keys.append((by_email, lowered))
+        if name_merging and (normalized := normalize_name(name)):
+            keys.append((by_name, normalized))
+        for holders, key in keys:
+            first = holders.setdefault(key, index)
+            if first != index:
+                parent[find(index)] = find(first)
 
-    groups: dict[object, list[tuple[str, str]]] = {}
-    for name, email in pairs:
-        groups.setdefault(uf.find(("pair", name, email)), []).append((name, email))
-    emails: dict[object, set[str]] = {}
-    for node in uf.parent:
-        if node[0] == "email":
-            emails.setdefault(uf.find(node), set()).add(node[1])
+    groups: dict[int, list[tuple[str, str]]] = {}
+    for index, pair in enumerate(pairs):
+        groups.setdefault(find(index), []).append(pair)
+    # Every email a group holds, observed or a directive's canonical email, is
+    # a key of by_email; visited in order, the first one per group is its id.
+    emails: dict[int, str] = {}
+    for email in sorted(by_email):
+        emails.setdefault(find(by_email[email]), email)
 
-    ids: dict[object, str] = {}
-    for root, members in groups.items():
-        if root in emails:
-            ids[root] = min(emails[root])
-        else:
-            ids[root] = "name:" + min(name for name, _ in members)
+    ids = {
+        root: emails[root] if root in emails else "name:" + min(name for name, _ in members)
+        for root, members in groups.items()
+    }
     # An email such as "name:bob" can equal an email-less group's id. Such a
     # group takes the first "#2", "#3", ... suffix that is no group's id. Two
     # groups' suffixed ids differ because their unsuffixed ids do, so neither

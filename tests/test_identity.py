@@ -115,6 +115,13 @@ def test_conflicting_alias_directives_rejected_before_merging():
         resolve_identities([commit(1, "A", "a@x.org")], aliases)
 
 
+@pytest.mark.parametrize("directive", [("", "z@x.org"), ("a@x.org", "")])
+def test_empty_alias_or_canonical_email_rejected(directive):
+    pairs = [("A", ""), ("", "b@x.org"), ("C", "a@x.org")]
+    with pytest.raises(ConfigError, match="neither may be empty"):
+        resolve_identities(pairs, AliasMap((directive,)))
+
+
 def test_repeated_identical_directives_allowed():
     aliases = AliasMap((("a@x.org", "b@x.org"), ("A@X.ORG", "B@x.org")))
     _, roster = resolve_identities(timelines([commit(1, "A", "a@x.org")]), aliases)
@@ -263,6 +270,32 @@ def test_resolution_is_deterministic():
     first = resolve_identities(timelines(commits), name_merging=True)
     second = resolve_identities(timelines(commits), name_merging=True)
     assert first == second
+    # The order pairs arrive in decides which groups are joined under which,
+    # but never the groups, their ids, or the roster.
+    rng = random.Random(7373)
+    names = ["Ada", "ada ", "Björn", "bjorn", "Cleo", "Dee", ""]
+    emails = ["a@x.org", "A@X.ORG", "b@x.org", "d@x.org", ""]
+    directive_pool = [("ada", "z@x.org"), ("b@x.org", "c@x.org"), ("D@x.org", "y@x.org"),
+                      ("dee", "w@x.org"), ("cleo", "0@x.org"), ("nobody", "n@x.org")]
+    for _ in range(60):
+        pairs = [(rng.choice(names), rng.choice(emails)) for _ in range(rng.randrange(1, 25))]
+        aliases = AliasMap(tuple(d for d in directive_pool if rng.random() < 0.5))
+        expected = resolve_identities(pairs, aliases, name_merging=True)
+        shuffled = pairs[:]
+        rng.shuffle(shuffled)
+        for order in (shuffled, pairs[::-1]):
+            assert resolve_identities(order, aliases, name_merging=True) == expected
+
+
+def test_long_merge_chain_is_one_developer():
+    # Neighbours share an email and a normalized name in turn: (N0, e0), (N0, e1),
+    # (N1, e1), (N1, e2), ...
+    pairs = [(f"N{i // 2}", f"e{(i + 1) // 2}@x.org") for i in range(20_000)]
+    assignments, roster = resolve_identities(pairs, name_merging=True)
+    assert len(roster) == 1
+    assert roster[0].developer_id == roster[0].primary_email == "e0@x.org"
+    assert roster[0].aliases == frozenset(pairs)
+    assert assignments == dict.fromkeys(pairs, "e0@x.org")
 
 
 def _oracle_naming(component, directives):

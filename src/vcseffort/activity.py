@@ -60,30 +60,19 @@ class PeriodSpec(NamedTuple):
             raise ConfigError("rolling alignment requires an anchor date")
 
 
-class ActivityMatrix:
-    """Per-developer, per-period activity counts; the one record ``aggregate`` fills in place.
+class ActivityMatrix(NamedTuple):
+    """Per-developer, per-period activity counts.
 
     ``period_labels`` is chronological; rows hold only non-zero cells.
     ``overflow_commits`` counts commits at or after the rolling anchor, which
     belong to no period; with calendar alignment it is always zero.
     """
 
-    def __init__(
-        self,
-        metric: str,
-        period_months: int,
-        period_labels: list[str],
-        counts: dict[str, dict[str, int]] | None = None,
-        overflow_commits: int = 0,
-    ) -> None:
-        self.metric = metric
-        self.period_months = period_months
-        self.period_labels = period_labels
-        self.counts = {} if counts is None else counts
-        self.overflow_commits = overflow_commits
-
-    def __eq__(self, other: object) -> bool:
-        return type(other) is type(self) and vars(self) == vars(other)
+    metric: str
+    period_months: int
+    period_labels: list[str]
+    counts: dict[str, dict[str, int]]
+    overflow_commits: int = 0
 
     def cell(self, developer_id: str, period_label: str) -> int:
         return self.counts.get(developer_id, {}).get(period_label, 0)
@@ -213,27 +202,27 @@ def aggregate(
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
 
-    matrix = ActivityMatrix(metric, spec.length_months, [])
     if not timelines:
-        return matrix
+        return ActivityMatrix(metric, spec.length_months, [], {})
 
     earliest = min(stamps[0] for stamps in timelines.values())
     if spec.alignment == ALIGNMENT_CALENDAR:
         latest = max(stamps[-1] for stamps in timelines.values())
         low = semester_index(epoch_to_utc_date(earliest))
         high = semester_index(epoch_to_utc_date(latest))
-        matrix.period_labels = [semester_label(i) for i in range(low, high + 1)]
+        labels = [semester_label(i) for i in range(low, high + 1)]
         bounds = [_semester_start(i) for i in range(low, high + 2)]
     else:
         windows = rolling_windows(spec.anchor, spec.length_months, earliest)
-        matrix.period_labels = [label for label, _, _ in windows]
+        labels = [label for label, _, _ in windows]
         bounds = [start for _, start, _ in windows] + [date_to_epoch(spec.anchor)]
 
-    per_window, matrix.overflow_commits = _bucket(timelines, assignments, bounds, metric)
-    for label, row in zip(matrix.period_labels, per_window):
+    per_window, overflow = _bucket(timelines, assignments, bounds, metric)
+    counts: dict[str, dict[str, int]] = {}
+    for label, row in zip(labels, per_window):
         for developer_id, count in row.items():
-            matrix.counts.setdefault(developer_id, {})[label] = count
-    return matrix
+            counts.setdefault(developer_id, {})[label] = count
+    return ActivityMatrix(metric, spec.length_months, labels, counts, overflow)
 
 
 def activity_in_window(

@@ -221,8 +221,6 @@ def _ingest(config: argparse.Namespace):
 
 def _survey_labels(config: argparse.Namespace, timelines, assignments, roster):
     """Survey labels, and each developer's activity in the window that ends at the survey."""
-    if not config.survey:
-        raise ConfigError(f"{config.command} requires --survey")
     responses = load_survey(config.survey)
     if not responses:
         raise CalibrationError(f"survey {config.survey} has no responses")
@@ -499,6 +497,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = resolve_config(args, options)
+        if config.command in ("calibrate", "representativeness") and not config.survey:
+            raise ConfigError(f"{config.command} requires --survey")
         return _COMMANDS[config.command](config)
     except (IngestionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -43,28 +43,25 @@ class EffortReport(NamedTuple):
     upper_bound: Fraction
 
 
-def upper_bound(matrix: ActivityMatrix, period_months: int | None = None) -> Fraction:
+def upper_bound(matrix: ActivityMatrix) -> Fraction:
     """Effort ceiling: every active developer-period counts as fully dedicated.
 
     Equals the estimate at theta = 1, since any activity then saturates.
     """
-    months = matrix.period_months if period_months is None else period_months
     active_cells = sum(
         1 for row in matrix.counts.values() for count in row.values() if count >= 1
     )
-    return Fraction(months * active_cells)
+    return Fraction(matrix.period_months * active_cells)
 
 
-def project_effort(
-    matrix: ActivityMatrix, theta: int, period_months: int | None = None
-) -> EffortReport:
+def project_effort(matrix: ActivityMatrix, theta: int) -> EffortReport:
     """Sum developer efforts per period and overall. An empty matrix yields zero.
 
     Each period's effort is ``months * weight / theta``, where the integer
     weight sums ``min(count, theta)`` over its cells: the same exact rational
     as summing ``developer_effort`` cell by cell, with one Fraction per period.
     """
-    months = matrix.period_months if period_months is None else period_months
+    months = matrix.period_months
     _check_parameters(theta, months)
     weights = dict.fromkeys(matrix.period_labels, 0)
     for row in matrix.counts.values():
@@ -74,22 +71,19 @@ def project_effort(
             weights[label] += theta if count >= theta else count
     per_period = {label: Fraction(months * weight, theta) for label, weight in weights.items()}
     total = Fraction(months * sum(weights.values()), theta)
-    return EffortReport(theta, months, per_period, total, upper_bound(matrix, months))
+    return EffortReport(theta, months, per_period, total, upper_bound(matrix))
 
 
 def error_table(
-    matrix: ActivityMatrix,
-    selected_theta: int,
-    thetas: Sequence[int],
-    period_months: int | None = None,
+    matrix: ActivityMatrix, selected_theta: int, thetas: Sequence[int]
 ) -> dict[int, Fraction]:
     """Percent deviation of total effort at each theta from the selected theta's total."""
-    baseline = project_effort(matrix, selected_theta, period_months).total
+    baseline = project_effort(matrix, selected_theta).total
     if baseline == 0:
         raise ParameterError("error table undefined: zero total effort at the selected theta")
     table: dict[int, Fraction] = {}
     for theta in thetas:
-        total = project_effort(matrix, theta, period_months).total
+        total = project_effort(matrix, theta).total
         table[theta] = (total - baseline) / baseline * 100
     return table
 
@@ -118,10 +112,8 @@ def _error_cell(errors: Mapping[int, Fraction] | None, theta: int, selected: int
     return render_percent(errors[theta])
 
 
-def reports_for_thetas(
-    matrix: ActivityMatrix, thetas: Sequence[int], period_months: int | None = None
-) -> list[EffortReport]:
-    return [project_effort(matrix, theta, period_months) for theta in thetas]
+def reports_for_thetas(matrix: ActivityMatrix, thetas: Sequence[int]) -> list[EffortReport]:
+    return [project_effort(matrix, theta) for theta in thetas]
 
 
 def render_markdown(

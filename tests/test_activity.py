@@ -179,7 +179,7 @@ def test_commits_sharing_a_hash_count_for_their_own_authors():
 
 
 def test_empty_input_gives_empty_matrix():
-    matrix = aggregate([], {}, PeriodSpec())
+    matrix = aggregate({}, {}, PeriodSpec())
     assert matrix.period_labels == []
     assert matrix.counts == {}
     assert matrix.total() == 0
@@ -197,12 +197,6 @@ def test_matrix_csv_layout():
     assert lines[1:] == ["a@x.org,13s2,1", "b@x.org,13s1,2"]
 
 
-def test_matrices_do_not_share_their_default_counts():
-    first, second = ActivityMatrix("commits", 6, []), ActivityMatrix("commits", 6, [])
-    first.counts["a@x.org"] = {"13s1": 1}
-    assert second.counts == {}
-
-
 @pytest.mark.parametrize("field, value", [
     ("metric", METRIC_ACTIVE_DAYS),
     ("period_months", 1),
@@ -211,25 +205,24 @@ def test_matrices_do_not_share_their_default_counts():
     ("overflow_commits", 1),
 ])
 def test_matrices_differing_in_one_field_are_not_equal(field, value):
-    matrix, other = ActivityMatrix("commits", 6, []), ActivityMatrix("commits", 6, [])
-    assert matrix == other
-    setattr(other, field, value)
-    assert matrix != other
+    matrix = ActivityMatrix("commits", 6, [], {})
+    assert matrix == ActivityMatrix("commits", 6, [], {})
+    assert matrix != matrix._replace(**{field: value})
 
 
 def test_period_spec_validation():
     with pytest.raises(ConfigError, match=">= 1"):
-        aggregate([], {}, PeriodSpec(0))
+        aggregate({}, {}, PeriodSpec(0))
     with pytest.raises(ConfigError, match="alignment"):
-        aggregate([], {}, PeriodSpec(6, "weekly"))
+        aggregate({}, {}, PeriodSpec(6, "weekly"))
     with pytest.raises(ConfigError, match="anchor"):
-        aggregate([], {}, PeriodSpec(6, "rolling"))
+        aggregate({}, {}, PeriodSpec(6, "rolling"))
     with pytest.raises(ConfigError, match="6-month"):
-        aggregate([], {}, PeriodSpec(3, "calendar"))
+        aggregate({}, {}, PeriodSpec(3, "calendar"))
     with pytest.raises(ConfigError, match="metric"):
-        aggregate([], {}, PeriodSpec(), "lines-changed")
+        aggregate({}, {}, PeriodSpec(), "lines-changed")
     with pytest.raises(ParameterError):
-        activity_in_window([], {}, date(2013, 1, 1), 0)
+        activity_in_window({}, {}, date(2013, 1, 1), 0)
 
 
 def _window_contains(window_start: date, window_end: date, timestamp: int) -> bool:
@@ -472,24 +465,24 @@ def _per_commit_bucket(commits, assignments, bounds, metric):
 
 
 def _per_commit_aggregate(commits, assignments, spec, metric):
-    matrix = ActivityMatrix(metric, spec.length_months, [])
     if not commits:
-        return matrix
+        return ActivityMatrix(metric, spec.length_months, [], {})
     earliest = min(c.author_timestamp for c in commits)
     if spec.alignment == "calendar":
         low = semester_index(epoch_to_utc_date(earliest))
         high = semester_index(epoch_to_utc_date(max(c.author_timestamp for c in commits)))
-        matrix.period_labels = [semester_label(i) for i in range(low, high + 1)]
+        labels = [semester_label(i) for i in range(low, high + 1)]
         bounds = [_semester_start(i) for i in range(low, high + 2)]
     else:
         windows = rolling_windows(spec.anchor, spec.length_months, earliest)
-        matrix.period_labels = [label for label, _, _ in windows]
+        labels = [label for label, _, _ in windows]
         bounds = [start for _, start, _ in windows] + [date_to_epoch(spec.anchor)]
-    per_window, matrix.overflow_commits = _per_commit_bucket(commits, assignments, bounds, metric)
-    for label, row in zip(matrix.period_labels, per_window):
+    per_window, overflow = _per_commit_bucket(commits, assignments, bounds, metric)
+    counts = {}
+    for label, row in zip(labels, per_window):
         for developer_id, count in row.items():
-            matrix.counts.setdefault(developer_id, {})[label] = count
-    return matrix
+            counts.setdefault(developer_id, {})[label] = count
+    return ActivityMatrix(metric, spec.length_months, labels, counts, overflow)
 
 
 def _multi_pair_log(rng, anchor, months, all_after_anchor=False):

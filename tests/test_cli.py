@@ -762,6 +762,16 @@ def test_bad_period_layout_fails_before_ingest(layout, message, reference_inputs
     assert stdout == ""
 
 
+@pytest.mark.parametrize("command", ["calibrate", "representativeness"])
+def test_missing_survey_fails_before_ingest(command, tmp_path, capsys):
+    code, stdout, err = run(
+        [command, "--log", str(tmp_path / "absent.log"), "--out", str(tmp_path / "o")], capsys
+    )
+    assert code == EXIT_CONFIG
+    assert f"{command} requires --survey" in err
+    assert stdout == ""
+
+
 @pytest.mark.parametrize("bom_input", ["commits", "survey", "config", "aliases", "bots"])
 def test_byte_order_mark_is_ignored(bom_input, reference_inputs, tmp_path, capsys):
     records = parse_log_file(str(reference_inputs["log"])).records

@@ -107,7 +107,7 @@ def test_effort_monotone_and_bounded():
 
 
 def test_empty_matrix_is_zero():
-    matrix = ActivityMatrix("commits", 6, [])
+    matrix = ActivityMatrix("commits", 6, [], {})
     report = project_effort(matrix, 10)
     assert report.total == 0
     assert report.upper_bound == 0
@@ -127,11 +127,10 @@ def test_project_effort_matches_per_cell_oracle():
                 for label in rng.sample(labels, rng.randrange(0, len(labels) + 1))
             }
             counts[f"d{i}"] = {label: count for label, count in row.items() if count >= 1}
-        matrix = ActivityMatrix("commits", rng.choice([1, 3, 6]), labels, counts)
-        override = rng.choice([None, 1, 4, 12])
-        months = matrix.period_months if override is None else override
+        months = rng.choice([1, 3, 4, 6, 12])
+        matrix = ActivityMatrix("commits", months, labels, counts)
 
-        report = project_effort(matrix, theta, override)
+        report = project_effort(matrix, theta)
         expected = {
             label: sum(
                 (developer_effort(row.get(label, 0), theta, months) for row in counts.values()),
@@ -143,14 +142,14 @@ def test_project_effort_matches_per_cell_oracle():
         assert list(report.per_period) == labels
         assert report.total == sum(expected.values(), Fraction(0))
         assert report.period_months == months
-        assert report.upper_bound == upper_bound(matrix, months)
+        assert report.upper_bound == upper_bound(matrix)
 
 
 def test_project_effort_validates_parameters_up_front():
     with pytest.raises(ParameterError, match="theta"):
-        project_effort(ActivityMatrix("commits", 6, []), 0)
+        project_effort(ActivityMatrix("commits", 6, [], {}), 0)
     with pytest.raises(ParameterError, match="period length"):
-        project_effort(matrix_from({"d": {"p": 3}}), 5, period_months=0)
+        project_effort(matrix_from({"d": {"p": 3}}, months=0), 5)
     with pytest.raises(ParameterError, match="activity"):
         project_effort(matrix_from({"d": {"p": -1}}), 5)
 

@@ -112,7 +112,7 @@ def test_alias_to_unobserved_canonical_email_names_the_group():
 def test_conflicting_alias_directives_rejected_before_merging():
     aliases = AliasMap((("a@x.org", "b@x.org"), ("a@x.org", "c@x.org")))
     with pytest.raises(ConfigError, match="maps to both"):
-        resolve_identities([commit(1, "A", "a@x.org")], aliases)
+        resolve_identities(timelines([commit(1, "A", "a@x.org")]), aliases)
 
 
 @pytest.mark.parametrize("directive", [("", "z@x.org"), ("a@x.org", "")])

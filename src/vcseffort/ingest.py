@@ -47,6 +47,14 @@ _new_record = partial(tuple.__new__, CommitRecord)
 # The decoder json.loads uses; raw_decode skips its BOM, whitespace and trailer checks.
 _raw_decode = json.JSONDecoder().raw_decode
 
+# The exact layout to_jsonl_line writes. A string here holds no quote, backslash or
+# control character, so each group is the very text json.loads would return for it.
+_JSONL_LAYOUT = re.compile(
+    r'\{"author_email": "([^"\\\x00-\x1f]*)", "author_name": "([^"\\\x00-\x1f]*)", '
+    r'"author_timestamp": ([1-9][0-9]{0,11}), "hash": "([^"\\\x00-\x1f]+)", '
+    r'"is_merge": (true|false)\}'
+)
+
 
 class MalformedLine(NamedTuple):
     """A rejected input line, kept for loss accounting."""
@@ -100,11 +108,15 @@ def iso_date(text: str) -> date:
     return date.fromisoformat(text)
 
 
-def _check_timestamp(timestamp: int) -> None:
-    if timestamp <= 0:
-        raise ValueError(f"non-positive timestamp {timestamp}")
-    if timestamp > MAX_TIMESTAMP:
-        raise ValueError(f"timestamp {timestamp} is after 9999-12-31T23:59:59Z")
+def _out_of_range(text: str) -> ValueError:
+    """The error for a timestamp outside (0, MAX_TIMESTAMP], given as an optional "-"
+    and digits without leading zeros; the reason shows at most 20 of the digits."""
+    negative = text[:1] == "-"
+    if len(text) - negative > 20:
+        text = text[: 20 + negative] + "..."
+    if negative or text == "0":
+        return ValueError(f"non-positive timestamp {text}")
+    return ValueError(f"timestamp {text} is after 9999-12-31T23:59:59Z")
 
 
 def _parse_pipe_line(line: str) -> CommitRecord:
@@ -123,9 +135,15 @@ def _parse_pipe_line(line: str) -> CommitRecord:
         ts_field.isdigit() or ts_field[:1] == "-" and ts_field[1:].isdigit()
     ):
         raise ValueError(f"non-integer timestamp {ts_field!r}")
-    timestamp = int(ts_field)
+    # Leading zeros dropped, int() never sees more than 12 digits (MAX_TIMESTAMP has
+    # 12), so the verdict does not depend on CPython's limit on int() of long text.
+    sign = "-" if ts_field[:1] == "-" else ""
+    digits = ts_field[len(sign) :].lstrip("0") or "0"
+    if len(digits) > 12:
+        raise _out_of_range(sign + digits)
+    timestamp = int(sign + digits)
     if not 0 < timestamp <= MAX_TIMESTAMP:
-        _check_timestamp(timestamp)
+        raise _out_of_range(str(timestamp))
     if merge_field not in ("0", "1"):
         raise ValueError(f"merge flag must be 0 or 1, got {merge_field!r}")
     if not email and not name:
@@ -149,6 +167,9 @@ def _parse_jsonl_line(line: str) -> CommitRecord:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid JSON: {exc.msg}") from None
+        except ValueError as exc:
+            # CPython's limit on int() of long text, a message of bounded length.
+            raise ValueError(f"invalid JSON: {exc}") from None
         except RecursionError:
             raise ValueError("invalid JSON: nested too deeply") from None
     # The decoder builds only exact dict, str, int and bool objects, so type() is
@@ -176,7 +197,7 @@ def _parse_jsonl_line(line: str) -> CommitRecord:
     if type(timestamp) is not int:
         raise ValueError("author_timestamp must be an integer")
     if not 0 < timestamp <= MAX_TIMESTAMP:
-        _check_timestamp(timestamp)
+        raise _out_of_range(str(timestamp))
     if type(is_merge) is not bool:
         raise ValueError("is_merge must be a boolean")
     if not email and not name:
@@ -197,6 +218,13 @@ def parse_log_stream(
     Blank lines carry no record and are skipped without counting as malformed.
     Duplicate hashes keep the first occurrence. If the malformed fraction of
     non-blank lines exceeds ``malformed_tolerance`` the whole ingest aborts.
+
+    The common well-formed line is accepted inline, without the per-line parser:
+    a pipe line of exactly five fields with a 1-12 digit ASCII timestamp and a
+    ``0``/``1`` merge flag, or a JSON line in the exact layout ``to_jsonl_line``
+    writes with an ASCII name and email. Either also needs a non-empty email or
+    name, a timestamp in range and an unseen hash. Every other line goes through
+    the per-line parser, so what is accepted and every reason are unchanged.
     """
     try:
         parse_one = _LINE_PARSERS[fmt]
@@ -209,8 +237,41 @@ def parse_log_stream(
     malformed: list[MalformedLine] = []
     seen_hashes: set[str] = set()
     total = 0
+    pipe = fmt == "pipe"
+    jsonl_layout = _JSONL_LAYOUT.fullmatch
+    intern = sys.intern
     for line_no, raw in enumerate(lines, start=1):
         line = raw.rstrip("\r\n")
+        # Fast path. A line that passes these checks is never blank, and no int()
+        # here sees more than 12 digits.
+        well_formed = False
+        if pipe:
+            fields = line.split("|")
+            if len(fields) == PIPE_FIELD_COUNT:
+                commit_hash, email, name, stamp, flag = fields
+                well_formed = (
+                    commit_hash
+                    and (flag == "0" or flag == "1")
+                    and len(stamp) <= 12
+                    and stamp.isascii()
+                    and stamp.isdigit()
+                )
+                is_merge = flag == "1"
+        else:
+            match = jsonl_layout(line)
+            if match:
+                email, name, stamp, commit_hash, flag = match.groups()
+                well_formed = name.isascii() and email.isascii()
+                is_merge = flag == "true"
+        if well_formed and (email or name) and commit_hash not in seen_hashes:
+            timestamp = int(stamp)
+            if 0 < timestamp <= MAX_TIMESTAMP:
+                total += 1
+                seen_hashes.add(commit_hash)
+                records.append(
+                    _new_record((commit_hash, intern(name), intern(email), timestamp, is_merge))
+                )
+                continue
         if not line.strip():
             continue
         total += 1

@@ -693,6 +693,23 @@ def test_synth_jsonl_feeds_commits_flag(tmp_path, capsys):
     assert (out / "sweep.csv").exists()
 
 
+def test_pipe_and_jsonl_logs_of_one_population_give_the_same_report(tmp_path, capsys):
+    """One synth population, written in both log formats, estimates to the same bytes."""
+    outputs = {}
+    for fmt, flag, log in [("pipe", "--log", "commits.log"), ("jsonl", "--commits", "commits.jsonl")]:
+        population, out = tmp_path / f"s-{fmt}", tmp_path / f"e-{fmt}"
+        code, _, _ = run([*SYNTH, "--log-format", fmt, "--out", str(population)], capsys)
+        assert code == EXIT_OK
+        code, _, _ = run(
+            ["estimate", flag, str(population / log), "--theta", "9", "--out", str(out)], capsys
+        )
+        assert code == EXIT_OK
+        run_record = json.loads((out / "run.json").read_text(encoding="utf-8"))
+        outputs[fmt] = (out / "report.json").read_bytes(), run_record["ingest"]
+    assert outputs["pipe"] == outputs["jsonl"]
+    assert outputs["pipe"][1]["parsed"] > 0
+
+
 def test_invalid_synth_spec_is_config_error(tmp_path, capsys):
     code, _, err = run(
         ["synth", "--fulltime", "0", "--other", "5", "--theta-true", "1",

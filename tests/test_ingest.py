@@ -8,6 +8,7 @@ import random
 import re
 import shutil
 import subprocess
+import sys
 from typing import get_type_hints
 
 import pytest
@@ -638,3 +639,184 @@ def test_jsonl_parser_matches_the_json_loads_procedure():
     assert len(expected_records) > 1_000
     assert {"invalid", "JSON", "missing", "hash", "author", "author_name", "author_timestamp",
             "is_merge", "duplicate", "non-positive", "timestamp"} <= reasons
+
+
+@pytest.mark.parametrize("int_digit_limit", [None, 0], ids=["default-limit", "no-limit"])
+def test_long_timestamps_do_not_depend_on_the_int_digit_limit(int_digit_limit):
+    """A verdict and its reason do not depend on CPython's limit on int() of long text."""
+    pipe_lines = [
+        "h1|a@b.c|A|" + "9" * 5000 + "|0",
+        "h2|a@b.c|A|" + "0" * 5000 + "1600000000|0",
+        "h3|a@b.c|A|-" + "9" * 5000 + "|0",
+        "h4|a@b.c|A|" + "0" * 20 + "1600000000|0",
+    ]
+    json_line = (
+        '{"author_email": "a@b.c", "author_name": "A", "author_timestamp": '
+        + "9" * 5000 + ', "hash": "h5", "is_merge": false}'
+    )
+    limit = sys.get_int_max_str_digits()
+    if int_digit_limit is not None:
+        sys.set_int_max_str_digits(int_digit_limit)
+    try:
+        pipe = parse_log_stream(pipe_lines, malformed_tolerance=1.0)
+        jsonl = parse_log_stream([json_line], "jsonl", 1.0)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [(r.hash, r.author_timestamp) for r in pipe.records] == [
+        ("h2", 1_600_000_000), ("h4", 1_600_000_000)
+    ]
+    assert [(m.line_no, m.reason) for m in pipe.malformed] == [
+        (1, "timestamp " + "9" * 20 + "... is after 9999-12-31T23:59:59Z"),
+        (3, "non-positive timestamp -" + "9" * 20 + "..."),
+    ]
+    assert jsonl.records == []
+    (reason,) = [m.reason for m in jsonl.malformed]
+    if int_digit_limit is None:
+        assert reason.startswith("invalid JSON: ") and len(reason) < 200
+    else:
+        assert reason == "timestamp " + "9" * 20 + "... is after 9999-12-31T23:59:59Z"
+
+
+def _reference_pipe_stream(lines):
+    """The README's pipe rules, read field by field, without the package's parser."""
+    records, malformed, seen = [], [], set()
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            continue
+        parts = line.split("|")
+        if len(parts) < 5:
+            malformed.append((line_no, line, f"expected 5 pipe-delimited fields, got {len(parts)}"))
+            continue
+        commit_hash, email, name = parts[0], parts[1], "|".join(parts[2:-2])
+        stamp, flag = parts[-2], parts[-1]
+        reason = None
+        if not commit_hash:
+            reason = "empty hash field"
+        elif not re.fullmatch(r"-?[0-9]+", stamp):
+            reason = f"non-integer timestamp {stamp!r}"
+        else:
+            sign = "-" if stamp.startswith("-") else ""
+            digits = stamp.lstrip("-").lstrip("0") or "0"
+            shown = sign + digits[:20] + ("..." if len(digits) > 20 else "")
+            # Compared as digit strings: the same length orders like the numbers.
+            limit = str(MAX_TIMESTAMP)
+            if sign or digits == "0":
+                reason = f"non-positive timestamp {'0' if digits == '0' else shown}"
+            elif (len(digits), digits) > (len(limit), limit):
+                reason = f"timestamp {shown} is after 9999-12-31T23:59:59Z"
+            elif flag not in ("0", "1"):
+                reason = f"merge flag must be 0 or 1, got {flag!r}"
+            elif not email and not name:
+                reason = "author email and name are both empty"
+        if reason is None and commit_hash in seen:
+            reason = f"duplicate hash {commit_hash!r}"
+        if reason is not None:
+            malformed.append((line_no, line, reason))
+            continue
+        seen.add(commit_hash)
+        records.append(CommitRecord(commit_hash, name, email, int(digits), flag == "1"))
+    return records, malformed
+
+
+def _mutated_pipe_lines(rng: random.Random, count: int) -> list[str]:
+    names = ["Ada", "c|d", "e|f|g", "", " ", "Björn", "李雷"]
+    emails = ["a@b.c", "", "UPPER@x.y", "é@x.y"]
+    stamps = [
+        "²", "１６００００００００", "1²", "0" * 7 + "1600000000", "1" * 12, str(MAX_TIMESTAMP),
+        str(MAX_TIMESTAMP + 1), "1" * 13, "9" * 5000, "0" * 5000 + "5", "-0", "-5", "0", "",
+        "-", " 5", "5 ", "+5", "1_5", "-" + "1" * 21,
+    ]
+    flags = ["2", " 1", "1 ", "", "01", "true", "\t0"]
+    endings = ["", "\r", "\n", "\r\n", "\r\r\n"]
+    lines = []
+    for _ in range(count):
+        fields = [
+            f"h{rng.randrange(count)}",
+            rng.choice(emails),
+            rng.choice(names),
+            str(rng.randrange(1, MAX_TIMESTAMP + 1)),
+            rng.choice("01"),
+        ]
+        roll = rng.random()
+        if roll < 0.05:
+            lines.append(rng.choice(["", " ", "\t", "\r\n", " \r", "   \n"]))
+            continue
+        if roll < 0.15:
+            fields[3] = rng.choice(stamps)
+        elif roll < 0.2:
+            fields[4] = rng.choice(flags)
+        elif roll < 0.25:
+            fields[0] = ""
+        elif roll < 0.3:
+            fields[1] = fields[2] = ""
+        elif roll < 0.35:
+            del fields[rng.randrange(5)]
+        elif roll < 0.4:
+            fields[2:2] = ["x"] * rng.randrange(1, 4)
+        lines.append("|".join(fields) + rng.choice(endings))
+    return lines
+
+
+def test_pipe_parser_matches_the_readme_rules():
+    """Records and (line_no, line, reason) triples equal a reference read of the rules."""
+    lines = _mutated_pipe_lines(random.Random(4242), 4_000)
+    result = parse_log_stream(lines, "pipe", 1.0)
+    expected_records, expected_malformed = _reference_pipe_stream(lines)
+    assert result.records == expected_records
+    assert [(m.line_no, m.line, m.reason) for m in result.malformed] == expected_malformed
+    assert {type(r) for r in result.records} == {CommitRecord}
+    shared = {}
+    for record in result.records:
+        for text in (record.author_name, record.author_email):
+            assert shared.setdefault(text, text) is text
+    reasons = {reason.split(" ")[0] for _, _, reason in expected_malformed}
+    assert len(expected_records) > 1_500
+    assert {"expected", "empty", "non-integer", "non-positive", "timestamp", "merge",
+            "author", "duplicate"} <= reasons
+
+
+def test_jsonl_lines_in_the_written_layout_match_the_json_loads_procedure():
+    """Lines in to_jsonl_line's layout, and near misses of it, agree with json.loads."""
+    rng = random.Random(5150)
+    names = ["Ada", "Björn", "李雷", "\ud800", "tab\there", "nul\x00", "del\x7f", "", "c|d"]
+    emails = ["a@b.c", "", "é@x.y", "x\udfff@y.z"]
+    hashes = ["", "h\ud800", "ħ"]
+    stamps = ["01", "1" * 13, str(MAX_TIMESTAMP), str(MAX_TIMESTAMP + 1), "0", "-1"]
+    lines = []
+    for _ in range(3_000):
+        record = CommitRecord(
+            hash=f"h{rng.randrange(2_000)}",
+            author_name=rng.choice(names) if rng.random() < 0.3 else "Ada",
+            author_email=rng.choice(emails) if rng.random() < 0.3 else "a@b.c",
+            author_timestamp=rng.randrange(1, MAX_TIMESTAMP + 1),
+            is_merge=rng.random() < 0.3,
+        )
+        if rng.random() < 0.05:
+            record = record._replace(hash=rng.choice(hashes))
+        roll = rng.random()
+        if roll < 0.5:
+            line = to_jsonl_line(record)
+        elif roll < 0.7:
+            # The written layout with raw text, control characters included, for escapes.
+            line = json.dumps(record._asdict(), sort_keys=True, ensure_ascii=False)
+            line = line.replace("\\t", "\t").replace("\\u0000", "\x00")
+        elif roll < 0.8:
+            line = json.dumps(record._asdict(), ensure_ascii=rng.random() < 0.5)
+        elif roll < 0.9:
+            line = json.dumps(record._asdict(), sort_keys=True, separators=(",", ":"))
+        else:
+            line = to_jsonl_line(record).replace(
+                f": {record.author_timestamp},", f": {rng.choice(stamps)},"
+            )
+        if rng.random() < 0.1:
+            line += rng.choice(["\r", "\n", "\r\n"])
+        lines.append(line)
+    result = parse_log_stream(lines, "jsonl", 1.0)
+    expected_records, expected_malformed = _reference_jsonl_stream(lines)
+    assert result.records == expected_records
+    assert [(m.line_no, m.line, m.reason) for m in result.malformed] == expected_malformed
+    reasons = {reason.split(" ")[0] for _, _, reason in expected_malformed}
+    assert len(expected_records) > 1_000
+    assert {"invalid", "hash", "author", "author_name", "duplicate", "non-positive",
+            "timestamp"} <= reasons

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import csv
-import io
 from bisect import bisect_left
+from functools import partial
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import CalibrationError, ConfigError, ParameterError
@@ -42,6 +41,10 @@ class ThresholdMetrics(NamedTuple):
     f_measure: float
     goodness: float
     compensation: int  # fn - fp: positive when misses outweigh false alarms
+
+
+# Builds a ThresholdMetrics from one 11-tuple without the named tuple's Python-level __new__.
+_new_metrics = partial(tuple.__new__, ThresholdMetrics)
 
 
 class ThetaSelection(NamedTuple):
@@ -118,9 +121,12 @@ def sweep(
     activity, so the sweep always reaches the degenerate nobody-is-full-time
     end.
 
-    The labeled counts are sorted once per class, so at each threshold the
-    misses (fn) and true negatives (tn) are the counts below it, found by
-    bisection, and tp and fp are their complements.
+    Predicting full-time as activity >= theta, the confusion counts change only
+    at theta = c + 1 for a labeled count c, so the sweep is a run of steps. The
+    measures are computed once per step, at its first threshold, and every
+    threshold in the step shares them. At a step's start, the misses (fn) and
+    true negatives (tn) are the labeled counts below it, found by bisection in
+    each class's sorted counts, and tp and fp are their complements.
     """
     if not labels:
         raise CalibrationError("cannot sweep thresholds without labeled developers")
@@ -134,11 +140,13 @@ def sweep(
         theta_max = max(full[-1:] + other[-1:]) + 1
     if theta_max < 1:
         raise ParameterError(f"theta_max must be >= 1, got {theta_max}")
-    metrics = []
-    for theta in range(1, theta_max + 1):
-        fn = bisect_left(full, theta)
-        tn = bisect_left(other, theta)
-        metrics.append(_measures(theta, len(full) - fn, len(other) - tn, fn, tn))
+    starts = sorted({1, *(c + 1 for c in full + other if 0 < c < theta_max)})
+    metrics: list[ThresholdMetrics] = []
+    for start, end in zip(starts, starts[1:] + [theta_max + 1]):
+        fn = bisect_left(full, start)
+        tn = bisect_left(other, start)
+        tail = _measures(start, len(full) - fn, len(other) - tn, fn, tn)[1:]
+        metrics += [_new_metrics((theta,) + tail) for theta in range(start, end)]
     return metrics
 
 
@@ -168,23 +176,20 @@ def select_theta(
 
 
 def sweep_to_csv(metrics: Sequence[ThresholdMetrics]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_HEADER)
+    """One CSV row per threshold. No field ever needs quoting: ints, ``%.6f`` floats.
+
+    A sweep's rows repeat their ten measures across a step, so each distinct
+    run of measures is formatted once.
+    """
+    rows = [",".join(SWEEP_CSV_HEADER)]
+    tail = None
     for m in metrics:
-        writer.writerow(
-            [
-                m.theta,
-                m.tp,
-                m.fp,
-                m.fn,
-                m.tn,
-                f"{m.precision:.6f}",
-                f"{m.recall:.6f}",
-                f"{m.accuracy:.6f}",
-                f"{m.f_measure:.6f}",
-                f"{m.goodness:.6f}",
-                m.compensation,
-            ]
-        )
-    return buffer.getvalue()
+        if m[1:] != tail:
+            tail = m[1:]
+            text = (
+                f"{m.tp},{m.fp},{m.fn},{m.tn},{m.precision:.6f},{m.recall:.6f},"
+                f"{m.accuracy:.6f},{m.f_measure:.6f},{m.goodness:.6f},{m.compensation}"
+            )
+        rows.append(f"{m.theta},{text}")
+    rows.append("")
+    return "\n".join(rows)

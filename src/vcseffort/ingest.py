@@ -134,7 +134,8 @@ def _parse_pipe_line(line: str) -> CommitRecord:
     if not ts_field.isascii() or not (
         ts_field.isdigit() or ts_field[:1] == "-" and ts_field[1:].isdigit()
     ):
-        raise ValueError(f"non-integer timestamp {ts_field!r}")
+        shown = repr(ts_field[:20]) + ("..." if len(ts_field) > 20 else "")
+        raise ValueError(f"non-integer timestamp {shown}")
     # Leading zeros dropped, int() never sees more than 12 digits (MAX_TIMESTAMP has
     # 12), so the verdict does not depend on CPython's limit on int() of long text.
     sign = "-" if ts_field[:1] == "-" else ""
@@ -350,34 +351,28 @@ def apply_filters(
     sorted ascending; a pair with no kept commit has no timeline. The kept
     timestamps and the two counts partition the input. Bot matching is
     case-insensitive over both author name and email, and a bot's merge counts
-    as a bot. The verdict depends only on the pair, so the patterns run once
-    per distinct pair.
+    as a bot. The verdict depends only on the pair, so the commits are grouped
+    by pair first and the patterns run once per distinct pair, dropping its
+    timeline and its merges together.
     """
     patterns = compile_bot_patterns(config.bot_patterns)
     exclude_merges = config.exclude_merges
-    is_bot: dict[tuple[str, str], bool] = {}
     timelines: defaultdict[tuple[str, str], list[int]] = defaultdict(list)
-    bots = 0
-    merges = 0
-    # Indexing is faster than the field names here: (hash, name, email, timestamp, is_merge).
+    merged: defaultdict[tuple[str, str], int] = defaultdict(int)
+    # Indexing beats unpacking and the field names here: (hash, name, email, timestamp, is_merge).
     for commit in commits:
-        author = commit[1], commit[2]
-        if patterns:
-            verdict = is_bot.get(author)
-            if verdict is None:
-                verdict = is_bot[author] = any(
-                    p.search(author[0]) or p.search(author[1]) for p in patterns
-                )
-            if verdict:
-                bots += 1
-                continue
         if exclude_merges and commit[4]:
-            merges += 1
+            merged[commit[1], commit[2]] += 1
         else:
-            timelines[author].append(commit[3])
+            timelines[commit[1], commit[2]].append(commit[3])
+    bots = 0
+    if patterns:
+        for author in {**timelines, **merged}:
+            if any(p.search(author[0]) or p.search(author[1]) for p in patterns):
+                bots += len(timelines.pop(author, ())) + merged.pop(author, 0)
     for stamps in timelines.values():
         stamps.sort()
-    return dict(timelines), bots, merges
+    return dict(timelines), bots, sum(merged.values())
 
 
 def read_repository_log(repo_path: str) -> list[str]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 
 import pytest
@@ -266,3 +268,54 @@ def test_sweep_csv_layout(ref_counts, ref_labels):
     assert lines[0] == ",".join(SWEEP_CSV_HEADER)
     assert lines[1] == "1,4,4,0,0,0.500000,1.000000,0.500000,0.666667,0.500000,-4"
     assert len(lines) == 3
+
+
+def _reference_sweep_csv(metrics):
+    """sweep.csv as csv.writer wrote it, every row formatted on its own."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(SWEEP_CSV_HEADER)
+    for m in metrics:
+        writer.writerow(
+            [
+                m.theta, m.tp, m.fp, m.fn, m.tn, f"{m.precision:.6f}", f"{m.recall:.6f}",
+                f"{m.accuracy:.6f}", f"{m.f_measure:.6f}", f"{m.goodness:.6f}", m.compensation,
+            ]
+        )
+    return buffer.getvalue()
+
+
+def _stepped_populations():
+    """Tied counts, a missing class, and heavy tails whose steps spread over thousands."""
+    rng = random.Random(7321)
+    populations = [
+        population([5, 5, 5], [5, 5]),
+        population([], [0, 3, 3, 9]),
+        population([0, 2, 2, 30_000], []),
+    ]
+    for _ in range(4):
+        populations.append(
+            population(
+                [min(int(rng.paretovariate(0.6)), 30_000) for _ in range(rng.randrange(1, 12))],
+                [min(int(rng.paretovariate(0.9)) - 1, 30_000) for _ in range(rng.randrange(1, 25))],
+            )
+        )
+    return populations
+
+
+def test_sweep_steps_match_metrics_at_every_threshold():
+    """The measures computed once per step equal metrics_at at every theta of the step."""
+    for counts, labels in _stepped_populations():
+        for theta_max in (1, None, 20_000):
+            metrics = sweep(counts, labels, theta_max)
+            bound = max(counts.values()) + 1 if theta_max is None else theta_max
+            assert metrics == [metrics_at(theta, counts, labels) for theta in range(1, bound + 1)]
+            assert {type(m) for m in metrics} == {ThresholdMetrics}
+
+
+def test_sweep_csv_matches_the_csv_writer_rows():
+    sweeps = [sweep(counts, labels, 20_000) for counts, labels in _stepped_populations()]
+    # Rows not from a sweep: equal confusion counts with other measures, a run that recurs.
+    sweeps += [[], [fabricated(1, 0.5), fabricated(2, 0.25), fabricated(3, 0.25), fabricated(4, 0.5)]]
+    for metrics in sweeps:
+        assert sweep_to_csv(metrics) == _reference_sweep_csv(metrics)

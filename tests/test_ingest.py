@@ -820,3 +820,59 @@ def test_jsonl_lines_in_the_written_layout_match_the_json_loads_procedure():
     assert len(expected_records) > 1_000
     assert {"invalid", "hash", "author", "author_name", "duplicate", "non-positive",
             "timestamp"} <= reasons
+
+
+def test_non_integer_timestamp_reason_shows_at_most_20_characters():
+    fields = ["9" * 5000 + "x", "x" * 20, "x" * 21]
+    lines = [f"h{i}|a@b|A|{field}|0" for i, field in enumerate(fields)]
+    reasons = [m.reason for m in parse_log_stream(lines, malformed_tolerance=1.0).malformed]
+    assert reasons == [
+        "non-integer timestamp '" + "9" * 20 + "'...",
+        "non-integer timestamp '" + "x" * 20 + "'",
+        "non-integer timestamp '" + "x" * 20 + "'...",
+    ]
+    assert len(reasons[0]) < 60
+
+
+def _reference_apply_filters(commits, config):
+    """Filtering as one verdict lookup per commit, in commit order."""
+    patterns = [re.compile(p, re.IGNORECASE) for p in config.bot_patterns]
+    is_bot, timelines, bots, merges = {}, {}, 0, 0
+    for commit in commits:
+        author = commit.author_name, commit.author_email
+        if patterns:
+            if author not in is_bot:
+                is_bot[author] = any(p.search(author[0]) or p.search(author[1]) for p in patterns)
+            if is_bot[author]:
+                bots += 1
+                continue
+        if config.exclude_merges and commit.is_merge:
+            merges += 1
+        else:
+            timelines.setdefault(author, []).append(commit.author_timestamp)
+    for stamps in timelines.values():
+        stamps.sort()
+    return timelines, bots, merges
+
+
+def test_filters_per_pair_match_the_per_commit_loop():
+    """Counts, timelines and their order, with bot merges, merge-only pairs, email-only bots."""
+    name_bot, email_bot, merge_only = ("build bot", "ci@x.y"), ("Anna", "bot@x.y"), ("M", "m@x.y")
+    pairs = [("Ada", "a@x.y"), ("Lee", "l@x.y"), ("Ada", "a2@x.y"), name_bot, email_bot, merge_only]
+    rng = random.Random(9931)
+    bot_merges = set()
+    for _ in range(40):
+        commits = []
+        for i in range(rng.randrange(0, 120)):
+            pair = rng.choice(pairs)
+            is_merge = pair == merge_only or rng.random() < 0.3
+            commits.append(CommitRecord(f"h{i}", *pair, rng.randrange(1, 10**6), is_merge))
+        for patterns in ((), DEFAULT_BOT_PATTERNS):
+            for exclude_merges in (False, True):
+                config = FilterConfig(patterns, exclude_merges)
+                timelines, bots, merges = apply_filters(commits, config)
+                expected = _reference_apply_filters(commits, config)
+                assert (timelines, bots, merges) == expected
+                assert list(timelines) == list(expected[0])
+        bot_merges.update(c[1:3] for c in commits if c.is_merge and c[1:3] in (name_bot, email_bot))
+    assert bot_merges == {name_bot, email_bot}

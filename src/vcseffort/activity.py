@@ -87,11 +87,15 @@ class ActivityMatrix(NamedTuple):
         order = {label: i for i, label in enumerate(self.period_labels)}
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
+        # Under "\n" line ends, Python 3.11's writer leaves a "\r" unquoted, and a reader
+        # then splits the row there; such an id's rows have their text cells quoted.
+        quoted = csv.writer(buffer, lineterminator="\n", quoting=csv.QUOTE_NONNUMERIC)
         writer.writerow(ACTIVITY_CSV_HEADER)
         for developer_id in self.developers():
             row = self.counts[developer_id]
+            write = (quoted if "\r" in developer_id else writer).writerow
             for label in sorted(row, key=order.__getitem__):
-                writer.writerow([developer_id, label, row[label]])
+                write([developer_id, label, row[label]])
         return buffer.getvalue()
 
 

@@ -9,20 +9,6 @@ from typing import Mapping, NamedTuple, Sequence
 from .errors import CalibrationError, ConfigError, ParameterError
 from .survey import LABEL_FULL, SurveyLabel
 
-SWEEP_CSV_HEADER = (
-    "theta",
-    "tp",
-    "fp",
-    "fn",
-    "tn",
-    "precision",
-    "recall",
-    "accuracy",
-    "f_measure",
-    "goodness",
-    "compensation",
-)
-
 SELECT_MIN = "min"
 SELECT_MAX = "max"
 SELECT_LOWER_MEDIAN = "lower-median"
@@ -42,6 +28,8 @@ class ThresholdMetrics(NamedTuple):
     goodness: float
     compensation: int  # fn - fp: positive when misses outweigh false alarms
 
+
+SWEEP_CSV_HEADER = ThresholdMetrics._fields
 
 # Builds a ThresholdMetrics from one 11-tuple without the named tuple's Python-level __new__.
 _new_metrics = partial(tuple.__new__, ThresholdMetrics)

@@ -164,18 +164,16 @@ def resolve_config(args: argparse.Namespace, options: Registry) -> argparse.Name
 
 
 def _write_outputs(config: argparse.Namespace, files: dict[str, object], record: dict) -> None:
-    """Create ``--out``, write each file in order, then ``run.json``; a non-string is written as JSON."""
+    """Create ``--out``, write each file in order, then ``run.json``.
+
+    A non-string is written as JSON, dates as ``YYYY-MM-DD`` and tuples as arrays.
+    """
     out = Path(config.out)
     out.mkdir(parents=True, exist_ok=True)
-    snapshot = {
-        **vars(config),
-        "anchor": config.anchor.isoformat() if config.anchor else None,
-        "cutoffs": list(config.cutoffs),
-    }
-    run = {"version": __version__, "command": config.command, "config": snapshot, **record}
+    run = {"version": __version__, "command": config.command, "config": vars(config), **record}
     for name, content in {**files, "run.json": run}.items():
         if not isinstance(content, str):
-            content = json.dumps(content, indent=2, sort_keys=True) + "\n"
+            content = json.dumps(content, indent=2, sort_keys=True, default=date.isoformat) + "\n"
         (out / name).write_text(content, encoding="utf-8")
 
 
@@ -243,13 +241,9 @@ def _calibrate_flow(config: argparse.Namespace, timelines, assignments, roster):
         f"exclusions: {len(exclusions)}"
     )
     payload = {
-        "argmax_range": list(selection.argmax_range),
-        "argmax_thetas": list(selection.argmax_thetas),
-        "selected_theta": selection.selected_theta,
-        "max_goodness": selection.max_goodness,
-        "policy": selection.policy,
+        **selection._asdict(),
         "theta_max": metrics[-1].theta,
-        "window_end": window_end.isoformat(),
+        "window_end": window_end,
         "label_counts": Counter(label.label for label in labels),
         "exclusion_counts": Counter(exclusion.reason for exclusion in exclusions),
     }
@@ -332,9 +326,9 @@ def cmd_representativeness(config: argparse.Namespace) -> int:
         {"representativeness.csv": representativeness_to_csv(rows)},
         {
             "result": {
-                "cutoffs": list(config.cutoffs),
+                "cutoffs": config.cutoffs,
                 "insufficient": insufficient,
-                "window_end": window_end.isoformat(),
+                "window_end": window_end,
                 "surveyed": len(surveyed_counts),
                 "population": len(all_counts),
             },
@@ -368,7 +362,7 @@ def cmd_synth(config: argparse.Namespace) -> int:
                 "developers": len(population.counts),
                 "commits": total_commits,
                 "files": {name: path.name for name, path in paths.items()},
-                "anchor": anchor.isoformat(),
+                "anchor": anchor,
             }
         },
     )

@@ -23,8 +23,6 @@ GIT_PRETTY_FORMAT = "%H|%ae|%an|%at|%P"
 
 DEFAULT_BOT_PATTERNS = (r"\bbot\b", "jenkins", "gerrit", "automation")
 
-JSONL_REQUIRED_KEYS = ("hash", "author_name", "author_email", "author_timestamp", "is_merge")
-
 DEFAULT_MALFORMED_TOLERANCE = 0.05
 
 # 9999-12-31T23:59:59Z, the last second a UTC date can represent.
@@ -40,6 +38,8 @@ class CommitRecord(NamedTuple):
     author_timestamp: int  # UTC seconds since the epoch
     is_merge: bool = False
 
+
+JSONL_REQUIRED_KEYS = CommitRecord._fields
 
 # Builds a CommitRecord from one 5-tuple without the named tuple's Python-level __new__.
 _new_record = partial(tuple.__new__, CommitRecord)
@@ -237,7 +237,6 @@ def parse_log_stream(
     records: list[CommitRecord] = []
     malformed: list[MalformedLine] = []
     seen_hashes: set[str] = set()
-    total = 0
     pipe = fmt == "pipe"
     jsonl_layout = _JSONL_LAYOUT.fullmatch
     intern = sys.intern
@@ -267,7 +266,6 @@ def parse_log_stream(
         if well_formed and (email or name) and commit_hash not in seen_hashes:
             timestamp = int(stamp)
             if 0 < timestamp <= MAX_TIMESTAMP:
-                total += 1
                 seen_hashes.add(commit_hash)
                 records.append(
                     _new_record((commit_hash, intern(name), intern(email), timestamp, is_merge))
@@ -275,7 +273,6 @@ def parse_log_stream(
                 continue
         if not line.strip():
             continue
-        total += 1
         try:
             record = parse_one(line)
         except ValueError as exc:
@@ -287,6 +284,8 @@ def parse_log_stream(
         seen_hashes.add(record.hash)
         records.append(record)
 
+    # Every non-blank line became a record or a malformed line.
+    total = len(records) + len(malformed)
     if total and len(malformed) / total > malformed_tolerance:
         preview = "; ".join(f"line {m.line_no}: {m.reason}" for m in malformed[:5])
         raise IngestionError(
@@ -301,7 +300,9 @@ def parse_log_file(
     fmt: str = "pipe",
     malformed_tolerance: float = DEFAULT_MALFORMED_TOLERANCE,
 ) -> ParseResult:
-    with open_input(path, "commit log", errors="replace") as handle:
+    """``parse_log_stream`` over a file. As in ``read_repository_log``, records end at
+    a line feed only, so a name keeps a carriage return; CRLF line ends still work."""
+    with open_input(path, "commit log", errors="replace", newline="\n") as handle:
         return parse_log_stream(handle, fmt, malformed_tolerance)
 
 
@@ -314,16 +315,7 @@ def to_pipe_line(record: CommitRecord) -> str:
 
 
 def to_jsonl_line(record: CommitRecord) -> str:
-    return json.dumps(
-        {
-            "hash": record.hash,
-            "author_name": record.author_name,
-            "author_email": record.author_email,
-            "author_timestamp": record.author_timestamp,
-            "is_merge": record.is_merge,
-        },
-        sort_keys=True,
-    )
+    return json.dumps(record._asdict(), sort_keys=True)
 
 
 def load_bot_patterns(path: str) -> tuple[str, ...]:

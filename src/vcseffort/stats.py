@@ -168,17 +168,10 @@ def _number(value: float) -> str:
 
 
 def _summary_cells(summary: PopulationSummary | None) -> list[str]:
+    """``n``, then the six numbers in ``PopulationSummary``'s field order."""
     if summary is None:
-        return ["0", "", "", "", "", "", ""]
-    return [
-        str(summary.n),
-        _number(summary.minimum),
-        _number(summary.q1),
-        _number(summary.median),
-        _number(summary.mean),
-        _number(summary.q3),
-        _number(summary.maximum),
-    ]
+        return ["0"] + [""] * (len(PopulationSummary._fields) - 1)
+    return [str(summary.n), *map(_number, summary[1:])]
 
 
 def representativeness_to_csv(rows: Sequence[RepresentativenessRow]) -> str:

@@ -189,11 +189,8 @@ def write_fixture(
 
     truth_path = directory / "ground_truth.json"
     truth = {
-        "theta_true": population.ground_truth.theta_true,
-        "min_fulltime_activity": population.ground_truth.min_fulltime_activity,
-        "max_other_activity": population.ground_truth.max_other_activity,
+        **population.ground_truth._asdict(),
         "separating_range": population.ground_truth.separating_range(),
-        "flipped": list(population.ground_truth.flipped),
         "seed": population.spec.seed,
         "counts": population.counts,
     }

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import random
 from bisect import bisect_right
 from calendar import monthrange
@@ -195,6 +197,18 @@ def test_matrix_csv_layout():
     lines = matrix.to_csv().splitlines()
     assert lines[0] == ",".join(ACTIVITY_CSV_HEADER)
     assert lines[1:] == ["a@x.org,13s2,1", "b@x.org,13s1,2"]
+
+
+def test_matrix_csv_ids_round_trip_through_a_csv_reader():
+    ids = ["name:Cy\rRo", "cr\r\nlf@x.org", "name:Ann\nLee", "a,b@x.org", 'q"uote@x.org',
+           "name:Spaced Out ", "plain@x.org"]
+    counts = {developer_id: {"13s1": i + 1, "13s2": 2 * i + 1} for i, developer_id in enumerate(ids)}
+    matrix = ActivityMatrix(METRIC_COMMITS, 6, ["13s1", "13s2"], counts)
+    header, *rows = csv.reader(io.StringIO(matrix.to_csv(), newline=""))
+    assert tuple(header) == ACTIVITY_CSV_HEADER
+    assert rows == [[d, label, str(counts[d][label])] for d in sorted(ids) for label in ("13s1", "13s2")]
+    # An id without a carriage return keeps its plain, minimally quoted cell.
+    assert "plain@x.org,13s1,7\n" in matrix.to_csv()
 
 
 @pytest.mark.parametrize("field, value", [

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import os
@@ -16,9 +17,15 @@ from pathlib import Path
 import pytest
 
 from conftest import REFERENCE_ACTIVITIES, write_reference_inputs
+from vcseffort.calibration import ThresholdMetrics, sweep
 from vcseffort.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from vcseffort.effort import error_table, report_payload, reports_for_thetas
 from vcseffort.ingest import parse_log_file, to_jsonl_line, to_pipe_line
-from vcseffort.stats import REPRESENTATIVENESS_CSV_HEADER
+from vcseffort.stats import (
+    REPRESENTATIVENESS_CSV_HEADER,
+    STATUS_INSUFFICIENT,
+    representativeness_table,
+)
 
 
 def run(args, capsys):
@@ -631,6 +638,69 @@ def test_representativeness_outputs(reference_inputs, tmp_path, capsys):
     assert lines[0] == ",".join(REPRESENTATIVENESS_CSV_HEADER)
     assert len(lines) == 7
     assert lines[1].startswith("0,all,8,")
+
+
+def _cells_match(row, values):
+    """A CSV row read back equals ``values``: text exactly, numbers to the digits written."""
+    return len(row) == len(values) and all(
+        cell == value if isinstance(value, str) else float(cell) == pytest.approx(value, rel=1e-5)
+        for cell, value in zip(row, values)
+    )
+
+
+def test_every_csv_the_cli_writes_reads_back_to_its_cells(
+    reference_inputs, ref_counts, ref_labels, ref_matrix, tmp_path, capsys
+):
+    source = ["--log", str(reference_inputs["log"]), *REFERENCE_ARGS]
+    survey = ["--survey", str(reference_inputs["survey"])]
+    for argv in (
+        ["calibrate", *source, *survey, "--theta-max", "13"],
+        ["estimate", *source, "--theta", "10", "--theta-max", "13", "--alignment", "rolling",
+         "--format", "csv"],
+        ["representativeness", *source, *survey, "--cutoffs", "0,5,12,14"],
+    ):
+        assert run([*argv, "--out", str(tmp_path)], capsys)[0] == EXIT_OK
+
+    def read(name):
+        with open(tmp_path / name, encoding="utf-8", newline="") as handle:
+            return list(csv.reader(handle))
+
+    header, *rows = read("sweep.csv")
+    assert tuple(header) == ThresholdMetrics._fields
+    metrics = sweep(ref_counts, ref_labels, 13)
+    assert len(rows) == len(metrics)
+    assert all(_cells_match(row, m) for row, m in zip(rows, metrics))
+
+    thetas = list(range(1, 14))
+    payload = report_payload(
+        reports_for_thetas(ref_matrix, thetas), 10, error_table(ref_matrix, 10, thetas)
+    )
+    header, *rows = read("report.csv")
+    assert header == ["theta", "total_pm", *ref_matrix.period_labels, "error_vs_selected"]
+    assert rows == [
+        [str(t["theta"]), t["total_pm"], *t["per_period_pm"].values(), t["error_vs_selected"]]
+        for t in payload["thresholds"]
+    ]
+
+    header, *rows = read("activity.csv")
+    assert header == ["developer_id", "period_label", "count"]
+    assert {(d, label): int(count) for d, label, count in rows} == {
+        (d, label): count for d, row in ref_matrix.counts.items() for label, count in row.items()
+    }
+
+    table = representativeness_table(ref_counts, ref_counts, (0, 5, 12, 14))
+    header, *rows = read("representativeness.csv")
+    assert tuple(header) == REPRESENTATIVENESS_CSV_HEADER
+    expected = []
+    for row in table:
+        tests = [row.ks.d_statistic, row.ks.p_value] if row.ks else [STATUS_INSUFFICIENT] * 2
+        for population, summary, tail in (
+            ("all", row.all_summary, tests), ("surveyed", row.surveyed_summary, ["", ""])
+        ):
+            cells = list(summary) if summary else [0] + [""] * 6
+            expected.append([row.cutoff, population, *cells, *tail])
+    assert [row[:2] for row in rows] == [[str(e[0]), e[1]] for e in expected]
+    assert all(_cells_match(row, values) for row, values in zip(rows, expected))
 
 
 def test_synth_then_calibrate_recovers_planted_range(tmp_path, capsys):

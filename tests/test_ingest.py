@@ -191,6 +191,33 @@ def test_parse_log_file_missing(tmp_path):
         parse_log_file(str(tmp_path / "nope.log"))
 
 
+def test_log_file_records_end_at_line_feeds_only(tmp_path):
+    lines = [
+        "h1|a@b.org|Ann\rLee|1600000000|0",
+        "h2|c@d.org|Cy Ro|1600000001|0",
+        "h3|e@f.org|Di|1600000002|1",
+    ]
+    path = tmp_path / "commits.log"
+    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    result = parse_log_file(str(path))
+    assert result.malformed == []
+    assert [r.author_name for r in result.records] == ["Ann\rLee", "Cy Ro", "Di"]
+    # CRLF line ends are still accepted.
+    path.write_bytes(("\r\n".join(lines) + "\r\n").encode("utf-8"))
+    assert parse_log_file(str(path)) == result
+
+
+def test_jsonl_file_raw_carriage_return_is_one_malformed_line(tmp_path):
+    good = [to_jsonl_line(make_record(i)) for i in range(40)]
+    bad = to_jsonl_line(make_record(99)).replace("Ada Author", "Ada\rAuthor")
+    path = tmp_path / "commits.jsonl"
+    path.write_bytes(("\n".join([*good, bad]) + "\n").encode("utf-8"))
+    result = parse_log_file(str(path), "jsonl")
+    assert len(result.records) == 40
+    assert [(m.line_no, m.line) for m in result.malformed] == [(41, bad)]
+    assert result.malformed[0].reason.startswith("invalid JSON: Invalid control character")
+
+
 def test_bot_filtering_matches_name_and_email_case_insensitively():
     commits = [
         CommitRecord("h1", "Jenkins CI", "ci@x.y", 1, False),
@@ -353,6 +380,36 @@ def test_read_repository_log_keeps_line_breaks_in_author_names(tmp_path):
     result = parse_log_stream(read_repository_log(str(repo)))
     assert result.malformed == []
     assert sorted(r.author_name for r in result.records) == sorted(names)
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
+def test_repository_log_written_to_a_file_parses_the_same(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args, name="Test Dev", email="dev@example.org"):
+        subprocess.run(
+            ["git", "-c", "user.name=Test Dev", "-c", "user.email=test@example.org",
+             "-C", str(repo), *args],
+            check=True,
+            capture_output=True,
+            env={**os.environ, "GIT_AUTHOR_NAME": name, "GIT_AUTHOR_EMAIL": email},
+        )
+
+    git("init", "-q")
+    authors = [("Ann\rLee", "ann@example.org"), ("Cy Ro", "cy\r@example.org"),
+               ("Bob\fKay", ""), ("Dee\u2028Vu", "dee@example.org")]
+    for i, (name, email) in enumerate(authors):
+        (repo / "a.txt").write_text(f"{i}\n", encoding="utf-8")
+        git("add", "a.txt")
+        git("commit", "-q", "-m", f"commit {i}", name=name, email=email)
+
+    lines = read_repository_log(str(repo))
+    path = tmp_path / "repo.log"
+    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+    result = parse_log_file(str(path))
+    assert result == parse_log_stream(lines)
+    assert sorted((r.author_name, r.author_email) for r in result.records) == sorted(authors)
 
 
 def test_read_repository_log_missing_repo(tmp_path):

@@ -63,7 +63,9 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
 
-# Time, memory and report size grow linearly with --theta-max, whatever the log's size.
+# Each threshold up to --theta-max costs two passes over the activity matrix's cells (its
+# row and its error), so time grows with theta-max x cells; memory and report size grow
+# with theta-max x periods.
 THETA_MAX_CEILING = 100_000
 
 _REPORT_FILENAMES = {"json": "report.json", "csv": "report.csv", "markdown": "report.md"}

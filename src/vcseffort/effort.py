@@ -46,12 +46,10 @@ class EffortReport(NamedTuple):
 def upper_bound(matrix: ActivityMatrix) -> Fraction:
     """Effort ceiling: every active developer-period counts as fully dedicated.
 
-    Equals the estimate at theta = 1, since any activity then saturates.
+    Equals the estimate at theta = 1, since any activity then saturates, and
+    raises ParameterError on the same matrices as ``project_effort``.
     """
-    active_cells = sum(
-        1 for row in matrix.counts.values() for count in row.values() if count >= 1
-    )
-    return Fraction(matrix.period_months * active_cells)
+    return project_effort(matrix, 1).upper_bound
 
 
 def project_effort(matrix: ActivityMatrix, theta: int) -> EffortReport:
@@ -60,18 +58,25 @@ def project_effort(matrix: ActivityMatrix, theta: int) -> EffortReport:
     Each period's effort is ``months * weight / theta``, where the integer
     weight sums ``min(count, theta)`` over its cells: the same exact rational
     as summing ``developer_effort`` cell by cell, with one Fraction per period.
+    The same pass counts the idle (zero) cells, so the upper bound is the
+    period length times the cells left, with no second scan of the matrix.
     """
     months = matrix.period_months
     _check_parameters(theta, months)
     weights = dict.fromkeys(matrix.period_labels, 0)
+    idle = 0
     for row in matrix.counts.values():
         for label, count in row.items():
-            if count < 0:
-                raise ParameterError(f"activity must be >= 0, got {count}")
-            weights[label] += theta if count >= theta else count
+            if count < 1:
+                if count:
+                    raise ParameterError(f"activity must be >= 0, got {count}")
+                idle += 1
+            else:
+                weights[label] += theta if count >= theta else count
+    active = sum(map(len, matrix.counts.values())) - idle
     per_period = {label: Fraction(months * weight, theta) for label, weight in weights.items()}
     total = Fraction(months * sum(weights.values()), theta)
-    return EffortReport(theta, months, per_period, total, upper_bound(matrix))
+    return EffortReport(theta, months, per_period, total, Fraction(months * active))
 
 
 def error_table(
@@ -90,10 +95,16 @@ def error_table(
 
 def render_quantity(value: Fraction) -> str:
     """Exact two-decimal rendering with ties to even (1.005 -> '1.00', 1.015 -> '1.02')."""
-    cents = round(Fraction(value) * 100)
+    value = Fraction(value)
+    denominator = value.denominator
+    # Floor division leaves 0 <= rest < denominator, for either sign.
+    cents, rest = divmod(value.numerator * 100, denominator)
+    twice = 2 * rest
+    if twice > denominator or (twice == denominator and cents & 1):
+        cents += 1
     sign = "-" if cents < 0 else ""
-    magnitude = abs(cents)
-    return f"{sign}{magnitude // 100}.{magnitude % 100:02d}"
+    whole, part = divmod(abs(cents), 100)
+    return f"{sign}{whole}.{part:02d}"
 
 
 def render_percent(value: Fraction) -> str:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,54 @@ def test_project_effort_matches_per_cell_oracle():
         assert report.upper_bound == upper_bound(matrix)
 
 
+def test_project_effort_counts_zero_cells_empty_rows_and_unused_labels():
+    rng = random.Random(5151)
+    for _ in range(120):
+        theta = rng.randrange(1, 12)
+        months = rng.choice([1, 3, 6, 12])
+        labels = [f"p{j}" for j in range(rng.randrange(1, 7))]
+        counts: dict[str, dict[str, int]] = {}
+        for i in range(rng.randrange(0, 10)):
+            # Zero cells, empty rows and labels no row holds all occur.
+            counts[f"d{i}"] = {
+                label: rng.choice([0, 0, 1, theta - 1, theta, theta + 1, rng.randrange(0, 3 * theta)])
+                for label in rng.sample(labels, rng.randrange(0, len(labels) + 1))
+            }
+        matrix = ActivityMatrix("commits", months, labels, counts)
+
+        report = project_effort(matrix, theta)
+        active = sum(1 for row in counts.values() for count in row.values() if count >= 1)
+        assert report.upper_bound == months * active
+        assert upper_bound(matrix) == months * active
+        expected = {
+            label: sum(
+                (developer_effort(row.get(label, 0), theta, months) for row in counts.values()),
+                Fraction(0),
+            )
+            for label in labels
+        }
+        assert report.per_period == expected
+        assert report.total == sum(expected.values(), Fraction(0))
+
+        cells = [(dev, label) for dev, row in counts.items() for label in row]
+        if cells:
+            # The last cell goes negative, after every other cell is set to zero.
+            dev, label = cells[-1]
+            negative = -rng.randrange(1, 50)
+            zeroed = {other: dict.fromkeys(row, 0) for other, row in counts.items()}
+            zeroed[dev][label] = negative
+            with pytest.raises(ParameterError, match=f"^activity must be >= 0, got {negative}$"):
+                project_effort(ActivityMatrix("commits", months, labels, zeroed), theta)
+
+
+def test_upper_bound_validates_like_project_effort():
+    with pytest.raises(ParameterError, match="period length must be >= 1, got 0"):
+        upper_bound(matrix_from({"d": {"p": 3}}, months=0))
+    with pytest.raises(ParameterError, match="activity must be >= 0, got -2"):
+        upper_bound(matrix_from({"d": {"p": 0, "q": -2}}))
+    assert upper_bound(matrix_from({"d": {"p": 0, "q": 4}, "e": {}}, months=6)) == 6
+
+
 def test_project_effort_validates_parameters_up_front():
     with pytest.raises(ParameterError, match="theta"):
         project_effort(ActivityMatrix("commits", 6, [], {}), 0)
@@ -176,6 +225,35 @@ def test_render_percent_is_signed():
     assert render_percent(Fraction(700, 33)) == "+21.21%"
     assert render_percent(Fraction(-1061, 214)) == "-4.96%"
     assert render_percent(Fraction(0)) == "+0.00%"
+
+
+def _reference_render_quantity(value: Fraction) -> str:
+    """The rounding through ``round(Fraction)`` that the integer divmod replaced."""
+    cents = round(Fraction(value) * 100)
+    sign = "-" if cents < 0 else ""
+    magnitude = abs(cents)
+    return f"{sign}{magnitude // 100}.{magnitude % 100:02d}"
+
+
+def _reference_render_percent(value: Fraction) -> str:
+    rendered = _reference_render_quantity(value)
+    if not rendered.startswith("-"):
+        rendered = "+" + rendered
+    return rendered + "%"
+
+
+def test_rendering_matches_the_round_reference():
+    rng = random.Random(6262)
+    values = [Fraction(k, 200) for k in range(-4000, 4001)]
+    values += [
+        Fraction(rng.randrange(-10**12, 10**12 + 1), rng.randrange(1, 10**6 + 1))
+        for _ in range(2000)
+    ]
+    values += [0, 7, -13, 10**15, 2.675, -0.125, 1e-3]
+    values += ["1.005", "-2.675", "355/113", Decimal("-0.015"), Decimal("12.345")]
+    for value in values:
+        assert render_quantity(value) == _reference_render_quantity(value), value
+        assert render_percent(value) == _reference_render_percent(value), value
 
 
 def test_markdown_report(ref_matrix):

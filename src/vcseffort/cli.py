@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from collections import Counter
+from contextlib import nullcontext
 from datetime import date
 from pathlib import Path
 from typing import Sequence
@@ -46,12 +47,12 @@ from .identity import AliasMap, load_alias_map, resolve_identities
 from .ingest import (
     DEFAULT_BOT_PATTERNS,
     DEFAULT_MALFORMED_TOLERANCE,
-    FilterConfig,
-    apply_filters,
+    compile_bot_patterns,
+    drop_bots,
+    group_log_stream,
     iso_date,
     load_bot_patterns,
-    parse_log_file,
-    parse_log_stream,
+    open_log,
     read_repository_log,
     setting_lines,
 )
@@ -184,13 +185,16 @@ def _ingest(config: argparse.Namespace):
     sources = [source for source in (config.log, config.commits, config.repo) if source]
     if len(sources) != 1:
         raise ConfigError("exactly one of --log, --commits, or --repo is required")
-    if config.log:
-        result = parse_log_file(config.log, "pipe", config.malformed_tolerance)
-    elif config.commits:
-        result = parse_log_file(config.commits, "jsonl", config.malformed_tolerance)
+    if config.repo:
+        source = nullcontext(read_repository_log(config.repo))
     else:
-        lines = read_repository_log(config.repo)
-        result = parse_log_stream(lines, "pipe", config.malformed_tolerance)
+        source = open_log(sources[0])
+    # The whole log is read, and its malformed-line tolerance checked, before any bot pattern.
+    with source as lines:
+        timelines, merged, parsed, malformed = group_log_stream(
+            lines, "jsonl" if config.commits else "pipe", config.malformed_tolerance,
+            config.exclude_merges,
+        )
 
     if config.bots is None:
         patterns: tuple[str, ...] = ()
@@ -198,22 +202,18 @@ def _ingest(config: argparse.Namespace):
         patterns = DEFAULT_BOT_PATTERNS
     else:
         patterns = load_bot_patterns(config.bots)
-    kept, bots, merges = apply_filters(
-        result.records, FilterConfig(patterns, config.exclude_merges)
-    )
+    kept, bots, merges = drop_bots(timelines, merged, compile_bot_patterns(patterns))
     print(
-        f"parsed {len(result.records)} commits ({len(result.malformed)} malformed); "
+        f"parsed {parsed} commits ({len(malformed)} malformed); "
         f"excluded {bots} bot, {merges} merge"
     )
     ingest_info = {
-        "parsed": len(result.records),
-        "malformed": len(result.malformed),
+        "parsed": parsed,
+        "malformed": len(malformed),
         "bot_excluded": bots,
         "merge_excluded": merges,
         "kept": sum(map(len, kept.values())),
     }
-    # Only the timelines are read from here on: free the records before identities peak.
-    del result
     aliases = load_alias_map(config.aliases) if config.aliases else AliasMap()
     assignments, roster = resolve_identities(kept, aliases, config.name_merging)
     return kept, assignments, roster, ingest_info

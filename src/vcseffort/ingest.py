@@ -8,7 +8,7 @@ import re
 import subprocess
 import sys
 from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from datetime import date
 from functools import partial
 from typing import IO, Iterable, Iterator, NamedTuple
@@ -119,7 +119,9 @@ def _out_of_range(text: str) -> ValueError:
     return ValueError(f"timestamp {text} is after 9999-12-31T23:59:59Z")
 
 
-def _parse_pipe_line(line: str) -> CommitRecord:
+# A per-line parser returns (hash, name, email, timestamp, is_merge), or raises ValueError
+# with the reason; _scan decides what to build from the fields.
+def _parse_pipe_line(line: str) -> tuple[str, str, str, int, bool]:
     parts = line.split("|")
     if len(parts) < PIPE_FIELD_COUNT:
         raise ValueError(f"expected {PIPE_FIELD_COUNT} pipe-delimited fields, got {len(parts)}")
@@ -149,13 +151,10 @@ def _parse_pipe_line(line: str) -> CommitRecord:
         raise ValueError(f"merge flag must be 0 or 1, got {merge_field!r}")
     if not email and not name:
         raise ValueError("author email and name are both empty")
-    # Interned: every commit by one author then shares its name and email strings.
-    return _new_record(
-        (commit_hash, sys.intern(name), sys.intern(email), timestamp, merge_field == "1")
-    )
+    return commit_hash, name, email, timestamp, merge_field == "1"
 
 
-def _parse_jsonl_line(line: str) -> CommitRecord:
+def _parse_jsonl_line(line: str) -> tuple[str, str, str, int, bool]:
     # One value spanning the whole line is exactly what json.loads returns for it;
     # anything else (surrounding whitespace, a BOM, a trailer, bad JSON) goes through
     # json.loads, which accepts it or words the reason.
@@ -203,10 +202,110 @@ def _parse_jsonl_line(line: str) -> CommitRecord:
         raise ValueError("is_merge must be a boolean")
     if not email and not name:
         raise ValueError("author email and name are both empty")
-    return _new_record((commit_hash, sys.intern(name), sys.intern(email), timestamp, is_merge))
+    return commit_hash, name, email, timestamp, is_merge
 
 
 _LINE_PARSERS = {"pipe": _parse_pipe_line, "jsonl": _parse_jsonl_line}
+
+
+def _scan(
+    lines: Iterable[str],
+    fmt: str,
+    malformed_tolerance: float,
+    records: list[CommitRecord] | None,
+    timelines: defaultdict[tuple[str, str], list[int]] | None,
+    merged: defaultdict[tuple[str, str], int] | None,
+) -> tuple[int, list[MalformedLine]]:
+    """The one parse loop: returns (accepted commits, malformed lines).
+
+    With ``records`` given, each accepted commit is appended to it as a
+    ``CommitRecord`` with interned author strings. Otherwise it goes straight
+    into its author pair's entry: ``merged[name, email] += 1`` for a merge when
+    ``merged`` is given, else ``timelines[name, email].append(timestamp)``.
+
+    Blank lines carry no commit and are skipped without counting as malformed.
+    Duplicate hashes keep the first occurrence. If the malformed fraction of
+    non-blank lines exceeds ``malformed_tolerance``, ``IngestionError`` is raised
+    once the stream ends.
+
+    The common well-formed line is accepted inline, without the per-line parser:
+    a pipe line of exactly five fields with a 1-12 digit ASCII timestamp and a
+    ``0``/``1`` merge flag, or a JSON line in the exact layout ``to_jsonl_line``
+    writes with an ASCII name and email. Either also needs a non-empty email or
+    name and a timestamp in range. Every other line goes through the per-line
+    parser, so what is accepted and every reason are unchanged.
+    """
+    try:
+        parse_one = _LINE_PARSERS[fmt]
+    except KeyError:
+        raise ConfigError(f"unknown log format {fmt!r}, expected 'pipe' or 'jsonl'") from None
+    if not 0.0 <= malformed_tolerance <= 1.0:
+        raise ConfigError(f"malformed tolerance must be in [0, 1], got {malformed_tolerance}")
+
+    malformed: list[MalformedLine] = []
+    seen_hashes: set[str] = set()
+    pipe = fmt == "pipe"
+    jsonl_layout = _JSONL_LAYOUT.fullmatch
+    intern = sys.intern
+    keep_records = records is not None
+    exclude_merges = merged is not None
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\r\n")
+        # Fast path: a timestamp stays 0 unless the line passes these checks, and
+        # no int() here sees more than 12 digits.
+        timestamp = 0
+        if pipe:
+            fields = line.split("|")
+            if len(fields) == PIPE_FIELD_COUNT:
+                commit_hash, email, name, stamp, flag = fields
+                if (
+                    commit_hash
+                    and (email or name)
+                    and (flag == "0" or flag == "1")
+                    and len(stamp) <= 12
+                    and stamp.isascii()
+                    and stamp.isdigit()
+                ):
+                    timestamp = int(stamp)
+                    is_merge = flag == "1"
+        else:
+            match = jsonl_layout(line)
+            if match:
+                email, name, stamp, commit_hash, flag = match.groups()
+                if (email or name) and name.isascii() and email.isascii():
+                    timestamp = int(stamp)
+                    is_merge = flag == "true"
+        if not 0 < timestamp <= MAX_TIMESTAMP:
+            if not line.strip():
+                continue
+            try:
+                commit_hash, name, email, timestamp, is_merge = parse_one(line)
+            except ValueError as exc:
+                malformed.append(MalformedLine(line_no, line, str(exc)))
+                continue
+        if commit_hash in seen_hashes:
+            malformed.append(MalformedLine(line_no, line, f"duplicate hash {commit_hash!r}"))
+            continue
+        seen_hashes.add(commit_hash)
+        if keep_records:
+            # Interned: every record of one author shares its name and email strings.
+            records.append(
+                _new_record((commit_hash, intern(name), intern(email), timestamp, is_merge))
+            )
+        elif is_merge and exclude_merges:
+            merged[name, email] += 1
+        else:
+            timelines[name, email].append(timestamp)
+
+    # Every non-blank line was accepted once or is a malformed line.
+    total = len(seen_hashes) + len(malformed)
+    if total and len(malformed) / total > malformed_tolerance:
+        preview = "; ".join(f"line {m.line_no}: {m.reason}" for m in malformed[:5])
+        raise IngestionError(
+            f"{len(malformed)} of {total} lines malformed, exceeding tolerance "
+            f"{malformed_tolerance:.1%}: {preview}"
+        )
+    return len(seen_hashes), malformed
 
 
 def parse_log_stream(
@@ -218,81 +317,49 @@ def parse_log_stream(
 
     Blank lines carry no record and are skipped without counting as malformed.
     Duplicate hashes keep the first occurrence. If the malformed fraction of
-    non-blank lines exceeds ``malformed_tolerance`` the whole ingest aborts.
-
-    The common well-formed line is accepted inline, without the per-line parser:
-    a pipe line of exactly five fields with a 1-12 digit ASCII timestamp and a
-    ``0``/``1`` merge flag, or a JSON line in the exact layout ``to_jsonl_line``
-    writes with an ASCII name and email. Either also needs a non-empty email or
-    name, a timestamp in range and an unseen hash. Every other line goes through
-    the per-line parser, so what is accepted and every reason are unchanged.
+    non-blank lines exceeds ``malformed_tolerance`` the whole ingest aborts with
+    ``IngestionError``. Author names and emails are interned, so the records of
+    one author share their two strings.
     """
-    try:
-        parse_one = _LINE_PARSERS[fmt]
-    except KeyError:
-        raise ConfigError(f"unknown log format {fmt!r}, expected 'pipe' or 'jsonl'") from None
-    if not 0.0 <= malformed_tolerance <= 1.0:
-        raise ConfigError(f"malformed tolerance must be in [0, 1], got {malformed_tolerance}")
-
     records: list[CommitRecord] = []
-    malformed: list[MalformedLine] = []
-    seen_hashes: set[str] = set()
-    pipe = fmt == "pipe"
-    jsonl_layout = _JSONL_LAYOUT.fullmatch
-    intern = sys.intern
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        # Fast path. A line that passes these checks is never blank, and no int()
-        # here sees more than 12 digits.
-        well_formed = False
-        if pipe:
-            fields = line.split("|")
-            if len(fields) == PIPE_FIELD_COUNT:
-                commit_hash, email, name, stamp, flag = fields
-                well_formed = (
-                    commit_hash
-                    and (flag == "0" or flag == "1")
-                    and len(stamp) <= 12
-                    and stamp.isascii()
-                    and stamp.isdigit()
-                )
-                is_merge = flag == "1"
-        else:
-            match = jsonl_layout(line)
-            if match:
-                email, name, stamp, commit_hash, flag = match.groups()
-                well_formed = name.isascii() and email.isascii()
-                is_merge = flag == "true"
-        if well_formed and (email or name) and commit_hash not in seen_hashes:
-            timestamp = int(stamp)
-            if 0 < timestamp <= MAX_TIMESTAMP:
-                seen_hashes.add(commit_hash)
-                records.append(
-                    _new_record((commit_hash, intern(name), intern(email), timestamp, is_merge))
-                )
-                continue
-        if not line.strip():
-            continue
-        try:
-            record = parse_one(line)
-        except ValueError as exc:
-            malformed.append(MalformedLine(line_no, line, str(exc)))
-            continue
-        if record.hash in seen_hashes:
-            malformed.append(MalformedLine(line_no, line, f"duplicate hash {record.hash!r}"))
-            continue
-        seen_hashes.add(record.hash)
-        records.append(record)
-
-    # Every non-blank line became a record or a malformed line.
-    total = len(records) + len(malformed)
-    if total and len(malformed) / total > malformed_tolerance:
-        preview = "; ".join(f"line {m.line_no}: {m.reason}" for m in malformed[:5])
-        raise IngestionError(
-            f"{len(malformed)} of {total} lines malformed, exceeding tolerance "
-            f"{malformed_tolerance:.1%}: {preview}"
-        )
+    _, malformed = _scan(lines, fmt, malformed_tolerance, records, None, None)
     return ParseResult(records, malformed)
+
+
+class GroupedLog(NamedTuple):
+    """A commit log grouped by (author_name, author_email) pair as it is read."""
+
+    timelines: defaultdict[tuple[str, str], list[int]]  # unsorted timestamps
+    merged: defaultdict[tuple[str, str], int]  # merges set aside; empty unless excluded
+    parsed: int
+    malformed: list[MalformedLine]
+
+
+def group_log_stream(
+    lines: Iterable[str],
+    fmt: str = "pipe",
+    malformed_tolerance: float = DEFAULT_MALFORMED_TOLERANCE,
+    exclude_merges: bool = False,
+) -> GroupedLog:
+    """``parse_log_stream``'s commits grouped by author pair, without building records.
+
+    The same lines are accepted and rejected, with the same reasons and the same
+    ``IngestionError``. ``drop_bots`` finishes the result as ``apply_filters``
+    would have: ``drop_bots(timelines, merged, compile_bot_patterns(patterns))``
+    equals ``apply_filters(records, FilterConfig(patterns, exclude_merges))``.
+    """
+    timelines: defaultdict[tuple[str, str], list[int]] = defaultdict(list)
+    merged: defaultdict[tuple[str, str], int] = defaultdict(int)
+    parsed, malformed = _scan(
+        lines, fmt, malformed_tolerance, None, timelines, merged if exclude_merges else None
+    )
+    return GroupedLog(timelines, merged, parsed, malformed)
+
+
+def open_log(path: str) -> AbstractContextManager[IO[str]]:
+    """Open a commit log file. As in ``read_repository_log``, records end at a line feed
+    only, so a name keeps a carriage return; CRLF line ends still work."""
+    return open_input(path, "commit log", errors="replace", newline="\n")
 
 
 def parse_log_file(
@@ -300,9 +367,8 @@ def parse_log_file(
     fmt: str = "pipe",
     malformed_tolerance: float = DEFAULT_MALFORMED_TOLERANCE,
 ) -> ParseResult:
-    """``parse_log_stream`` over a file. As in ``read_repository_log``, records end at
-    a line feed only, so a name keeps a carriage return; CRLF line ends still work."""
-    with open_input(path, "commit log", errors="replace", newline="\n") as handle:
+    """``parse_log_stream`` over a file opened by ``open_log``."""
+    with open_log(path) as handle:
         return parse_log_stream(handle, fmt, malformed_tolerance)
 
 
@@ -343,9 +409,7 @@ def apply_filters(
     sorted ascending; a pair with no kept commit has no timeline. The kept
     timestamps and the two counts partition the input. Bot matching is
     case-insensitive over both author name and email, and a bot's merge counts
-    as a bot. The verdict depends only on the pair, so the commits are grouped
-    by pair first and the patterns run once per distinct pair, dropping its
-    timeline and its merges together.
+    as a bot. The commits are grouped by pair first, and ``drop_bots`` finishes.
     """
     patterns = compile_bot_patterns(config.bot_patterns)
     exclude_merges = config.exclude_merges
@@ -357,6 +421,22 @@ def apply_filters(
             merged[commit[1], commit[2]] += 1
         else:
             timelines[commit[1], commit[2]].append(commit[3])
+    return drop_bots(timelines, merged, patterns)
+
+
+def drop_bots(
+    timelines: dict[tuple[str, str], list[int]],
+    merged: dict[tuple[str, str], int],
+    patterns: list[re.Pattern[str]],
+) -> tuple[dict[tuple[str, str], list[int]], int, int]:
+    """Finish commits grouped by author pair: (timelines, bot_excluded, merge_excluded).
+
+    ``timelines`` holds each pair's kept timestamps and ``merged`` its excluded
+    merges. A pair whose name or email a pattern matches is dropped from both,
+    and its commits count as bots; the verdict depends only on the pair, so the
+    patterns run once per distinct pair. The timelines left are sorted in place
+    and returned in their first-appearance order.
+    """
     bots = 0
     if patterns:
         for author in {**timelines, **merged}:

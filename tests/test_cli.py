@@ -275,6 +275,58 @@ def test_excess_malformed_lines_is_io_error(tmp_path, capsys):
     assert "malformed" in err
 
 
+@pytest.mark.parametrize(
+    "log, bots, code, message",
+    [
+        ("bad", "absent", EXIT_IO, "error: 2 of 2 lines malformed, exceeding tolerance 5.0%: line 1:"),
+        ("bad", "invalid", EXIT_IO, "error: 2 of 2 lines malformed, exceeding tolerance 5.0%: line 1:"),
+        ("good", "invalid", EXIT_CONFIG, "error: invalid bot pattern '(['"),
+        ("absent", "absent", EXIT_IO, "error: cannot read commit log "),
+    ],
+)
+def test_log_errors_come_before_bot_pattern_errors(
+    log, bots, code, message, reference_inputs, tmp_path, capsys
+):
+    """The whole log is read and its tolerance checked before the bot file is read or compiled."""
+    (tmp_path / "bad.log").write_text("garbage\nmore garbage\n", encoding="utf-8")
+    (tmp_path / "invalid.txt").write_text("([\n", encoding="utf-8")
+    logs = {"bad": tmp_path / "bad.log", "good": reference_inputs["log"], "absent": tmp_path / "absent.log"}
+    out = tmp_path / "out"
+    exit_code, stdout, err = run(
+        ["calibrate", "--log", str(logs[log]), "--survey", str(reference_inputs["survey"]),
+         "--bots", str(tmp_path / f"{bots}.txt"), *REFERENCE_ARGS, "--out", str(out)],
+        capsys,
+    )
+    assert exit_code == code
+    assert stdout == ""
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag", ["--log", "--commits"])
+def test_cli_ingest_builds_no_commit_records(flag, reference_inputs, tmp_path, capsys, monkeypatch):
+    """The CLI groups lines straight into author timelines; only library callers get records."""
+    log = reference_inputs["log"]
+    if flag == "--commits":
+        log = tmp_path / "commits.jsonl"
+        records = parse_log_file(str(reference_inputs["log"])).records
+        log.write_text("".join(to_jsonl_line(r) + "\n" for r in records), encoding="utf-8")
+
+    def no_records(fields):
+        raise AssertionError(f"built a CommitRecord for {fields!r}")
+
+    monkeypatch.setattr("vcseffort.ingest._new_record", no_records)
+    with pytest.raises(AssertionError, match="built a CommitRecord"):
+        parse_log_file(str(log), "jsonl" if flag == "--commits" else "pipe")
+    code, stdout, _ = run(
+        ["calibrate", flag, str(log), "--survey", str(reference_inputs["survey"]),
+         "--bots", "default", "--exclude-merges", *REFERENCE_ARGS, "--out", str(tmp_path / "out")],
+        capsys,
+    )
+    assert code == EXIT_OK
+    assert stdout.startswith("parsed 72 commits (0 malformed); excluded 0 bot, 0 merge\n")
+
+
 def test_argparse_rejects_bad_choice(reference_inputs, tmp_path):
     with pytest.raises(SystemExit) as excinfo:
         main(

@@ -23,7 +23,11 @@ from vcseffort.ingest import (
     JSONL_REQUIRED_KEYS,
     MAX_TIMESTAMP,
     apply_filters,
+    compile_bot_patterns,
+    drop_bots,
+    group_log_stream,
     load_bot_patterns,
+    open_log,
     parse_log_file,
     parse_log_stream,
     read_repository_log,
@@ -933,3 +937,77 @@ def test_filters_per_pair_match_the_per_commit_loop():
                 assert list(timelines) == list(expected[0])
         bot_merges.update(c[1:3] for c in commits if c.is_merge and c[1:3] in (name_bot, email_bot))
     assert bot_merges == {name_bot, email_bot}
+
+
+def _messy_log_lines(rng: random.Random, fmt: str, n: int) -> list[str]:
+    """Seeded lines of one format: every path the scan takes, duplicates on each side."""
+    if fmt == "pipe":
+        fast, slow = "d1|a@x.y|Ada|1600000000|0", "d2|ann@x.y|Ann|Pipe|1600000001|0"
+        slow_of_fast = "d1|a@x.y|Ada|01600000002|1"  # a leading zero takes the per-line parser
+    else:
+        fast = to_jsonl_line(CommitRecord("d1", "Ada", "a@x.y", 1600000000))
+        slow = to_jsonl_line(CommitRecord("d2", "Zoë", "z@x.y", 1600000001))  # escaped
+        slow_of_fast = json.dumps({"hash": "d1", "author_name": "Ada", "author_email": "a@x.y",
+                                   "author_timestamp": 1600000002, "is_merge": True})
+    lines = [fast, fast, slow, slow, slow_of_fast, slow.replace("d2", "d1"), fast.replace("d1", "d2")]
+    people = [("Ada", "a@x.y"), ("Lee\rWong", "l@x.y"), ("Zoë", "z@x.y"), ("Ann|Pipe", "ann@x.y"),
+              ("build bot", "ci@x.y"), ("Anna", "bot@x.y"), ("", "e@x.y"), ("Mo", "")]
+    for _ in range(n):
+        record = CommitRecord(f"h{rng.randrange(n)}", *rng.choice(people),
+                              rng.randrange(1, 2 * 10**9), rng.random() < 0.3)
+        if fmt == "pipe":
+            line = to_pipe_line(record)
+        elif rng.random() < 0.5:
+            line = to_jsonl_line(record)
+        else:
+            line = json.dumps(dict(reversed(record._asdict().items())), ensure_ascii=False)
+        kind = rng.random()
+        if kind < 0.1:
+            line += "\r\n"
+        elif kind < 0.15:
+            line = rng.choice(["", "  ", "\r\n"])
+        elif kind < 0.2:
+            line = rng.choice(["not a commit", "{bad json", "h|a@b|A|0|0", "h|a@b|A|1|2", "|a@b|A|1|0"])
+        lines.append(line)
+    return lines
+
+
+@pytest.mark.parametrize("fmt", ["pipe", "jsonl"])
+def test_streamed_grouping_matches_records_through_apply_filters(fmt, tmp_path):
+    """The CLI's scan (group_log_stream, then drop_bots) against the library's records."""
+    rng = random.Random(4241)
+    for size in (0, 5, 60, 400):
+        lines = _messy_log_lines(rng, fmt, size)
+        records, malformed = parse_log_stream(lines, fmt, 1.0)
+        for patterns in ((), DEFAULT_BOT_PATTERNS):
+            for exclude_merges in (False, True):
+                expected = apply_filters(records, FilterConfig(patterns, exclude_merges))
+                timelines, merged, parsed, streamed_malformed = group_log_stream(
+                    lines, fmt, 1.0, exclude_merges
+                )
+                got = drop_bots(timelines, merged, compile_bot_patterns(patterns))
+                assert got == expected
+                assert list(got[0]) == list(expected[0])
+                assert parsed == len(records)
+                assert streamed_malformed == malformed
+        # Duplicates of the first lines: fast after fast, slow after slow, and across.
+        assert [(m.line_no, m.reason) for m in malformed[:5]] == [
+            (2, "duplicate hash 'd1'"), (4, "duplicate hash 'd2'"), (5, "duplicate hash 'd1'"),
+            (6, "duplicate hash 'd1'"), (7, "duplicate hash 'd2'"),
+        ]
+
+        # The same lines read from a file, as the CLI reads them.
+        path = tmp_path / "log"
+        path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+        records, malformed = parse_log_file(str(path), fmt, 1.0)
+        with open_log(str(path)) as handle:
+            timelines, merged, parsed, streamed_malformed = group_log_stream(handle, fmt, 1.0)
+        assert drop_bots(timelines, merged, []) == apply_filters(records, FilterConfig())
+        assert (parsed, streamed_malformed) == (len(records), malformed)
+
+        if size:
+            with pytest.raises(IngestionError) as library:
+                parse_log_stream(lines, fmt, 0.05)
+            with pytest.raises(IngestionError) as streamed:
+                group_log_stream(lines, fmt, 0.05, True)
+            assert str(streamed.value) == str(library.value)

@@ -64,9 +64,9 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
 
-# Each threshold up to --theta-max costs two passes over the activity matrix's cells (its
-# row and its error), so time grows with theta-max x cells; memory and report size grow
-# with theta-max x periods.
+# The effort table sorts each period's counts once, after one pass over the activity
+# matrix's cells; each threshold up to --theta-max then costs O(periods x log cells) for
+# its row and its error, so time, memory and report size grow with theta-max x periods.
 THETA_MAX_CEILING = 100_000
 
 _REPORT_FILENAMES = {"json": "report.json", "csv": "report.csv", "markdown": "report.md"}

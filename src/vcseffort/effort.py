@@ -11,7 +11,9 @@ from __future__ import annotations
 import csv
 import io
 import json
+from bisect import bisect_left
 from fractions import Fraction
+from itertools import accumulate
 from typing import Mapping, NamedTuple, Sequence
 
 from .activity import ActivityMatrix
@@ -52,43 +54,76 @@ def upper_bound(matrix: ActivityMatrix) -> Fraction:
     return project_effort(matrix, 1).upper_bound
 
 
-def project_effort(matrix: ActivityMatrix, theta: int) -> EffortReport:
-    """Sum developer efforts per period and overall. An empty matrix yields zero.
+class _EffortCurve(NamedTuple):
+    """Every period's non-zero counts in ascending order, for effort at any theta.
 
-    Each period's effort is ``months * weight / theta``, where the integer
-    weight sums ``min(count, theta)`` over its cells: the same exact rational
-    as summing ``developer_effort`` cell by cell, with one Fraction per period.
-    The same pass counts the idle (zero) cells, so the upper bound is the
-    period length times the cells left, with no second scan of the matrix.
+    ``prefix[label][k]`` sums the ``k`` smallest counts of ``counts[label]``;
+    ``active`` is the number of non-zero cells. ``counts`` is named as in
+    ActivityMatrix because perfbench/tracer.py sizes every ``project_effort``
+    call by ``args[0].counts``.
     """
-    months = matrix.period_months
-    _check_parameters(theta, months)
-    weights = dict.fromkeys(matrix.period_labels, 0)
-    idle = 0
+
+    period_months: int
+    counts: dict[str, list[int]]
+    prefix: dict[str, list[int]]
+    active: int
+
+
+def _effort_curve(matrix: ActivityMatrix) -> _EffortCurve:
+    """One pass over the matrix's cells, then one sort per period.
+
+    A zero cell is skipped wherever it sits; a non-zero one under a label
+    missing from ``period_labels`` raises KeyError.
+    """
+    counts: dict[str, list[int]] = {label: [] for label in matrix.period_labels}
     for row in matrix.counts.values():
         for label, count in row.items():
             if count < 1:
                 if count:
                     raise ParameterError(f"activity must be >= 0, got {count}")
-                idle += 1
             else:
-                weights[label] += theta if count >= theta else count
-    active = sum(map(len, matrix.counts.values())) - idle
+                counts[label].append(count)
+    prefix = {}
+    for label, cells in counts.items():
+        cells.sort()
+        prefix[label] = list(accumulate(cells, initial=0))
+    return _EffortCurve(matrix.period_months, counts, prefix, sum(map(len, counts.values())))
+
+
+def project_effort(matrix: ActivityMatrix | _EffortCurve, theta: int) -> EffortReport:
+    """Sum developer efforts per period and overall. An empty matrix yields zero.
+
+    Each period's effort is ``months * weight / theta``, where the integer
+    weight sums ``min(count, theta)`` over its cells: the same exact rational
+    as summing ``developer_effort`` cell by cell, with one Fraction per period.
+    From the period's sorted counts, the weight is the sum of the ``k`` counts
+    below theta plus ``theta`` for each of the rest. The upper bound is the
+    period length times the active cells.
+    """
+    months = matrix.period_months
+    _check_parameters(theta, months)
+    curve = matrix if isinstance(matrix, _EffortCurve) else _effort_curve(matrix)
+    weights = {}
+    for label, cells in curve.counts.items():
+        below = bisect_left(cells, theta)
+        weights[label] = curve.prefix[label][below] + theta * (len(cells) - below)
     per_period = {label: Fraction(months * weight, theta) for label, weight in weights.items()}
     total = Fraction(months * sum(weights.values()), theta)
-    return EffortReport(theta, months, per_period, total, Fraction(months * active))
+    return EffortReport(theta, months, per_period, total, Fraction(months * curve.active))
 
 
 def error_table(
     matrix: ActivityMatrix, selected_theta: int, thetas: Sequence[int]
 ) -> dict[int, Fraction]:
     """Percent deviation of total effort at each theta from the selected theta's total."""
+    # The baseline comes first, so its parameter and cell errors win over the table's.
     baseline = project_effort(matrix, selected_theta).total
     if baseline == 0:
         raise ParameterError("error table undefined: zero total effort at the selected theta")
+    curve = _effort_curve(matrix)
     table: dict[int, Fraction] = {}
     for theta in thetas:
-        total = project_effort(matrix, theta).total
+        total = project_effort(curve, theta).total
         table[theta] = (total - baseline) / baseline * 100
     return table
 
@@ -124,7 +159,12 @@ def _error_cell(errors: Mapping[int, Fraction] | None, theta: int, selected: int
 
 
 def reports_for_thetas(matrix: ActivityMatrix, thetas: Sequence[int]) -> list[EffortReport]:
-    return [project_effort(matrix, theta) for theta in thetas]
+    if not thetas:
+        return []
+    # The first theta is checked before the cells, as project_effort(matrix, theta) would.
+    _check_parameters(thetas[0], matrix.period_months)
+    curve = _effort_curve(matrix)
+    return [project_effort(curve, theta) for theta in thetas]
 
 
 def render_markdown(

@@ -4,12 +4,14 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
 from conftest import EXPECTED_EFFORT, EXPECTED_ERROR, REFERENCE_PERIOD_LABEL, SELECTED_THETA
+from vcseffort import effort
 from vcseffort.activity import ActivityMatrix
 from vcseffort.effort import (
     developer_effort,
@@ -184,6 +186,136 @@ def test_project_effort_counts_zero_cells_empty_rows_and_unused_labels():
             zeroed[dev][label] = negative
             with pytest.raises(ParameterError, match=f"^activity must be >= 0, got {negative}$"):
                 project_effort(ActivityMatrix("commits", months, labels, zeroed), theta)
+
+
+def test_reports_and_error_table_match_per_cell_oracle():
+    rng = random.Random(7373)
+    for _ in range(100):
+        months = rng.choice([1, 3, 6, 12])
+        labels = [f"p{j}" for j in range(rng.randrange(1, 6))]
+        pool = [rng.randrange(1, 25) for _ in range(4)]  # repeats within and across periods
+        counts: dict[str, dict[str, int]] = {}
+        for i in range(rng.randrange(0, 12)):
+            # Zero cells, empty rows, unused labels and zeros under a label no period has.
+            row = {
+                label: rng.choice([0, 0, 1, *pool, rng.randrange(0, 30)])
+                for label in rng.sample(labels, rng.randrange(0, len(labels) + 1))
+            }
+            if rng.random() < 0.1:
+                row["elsewhere"] = 0
+            counts[f"d{i}"] = row
+        matrix = ActivityMatrix("commits", months, labels, counts)
+        max_count = max((c for row in counts.values() for c in row.values()), default=0)
+        thetas = range(1, max_count + 3)  # every count is some theta; the last two exceed all
+
+        def oracle(theta: int) -> dict[str, Fraction]:
+            return {
+                label: sum(
+                    (developer_effort(row.get(label, 0), theta, months) for row in counts.values()),
+                    Fraction(0),
+                )
+                for label in labels
+            }
+
+        active = sum(1 for row in counts.values() for count in row.values() if count >= 1)
+        reports = reports_for_thetas(matrix, thetas)
+        assert [report.theta for report in reports] == list(thetas)
+        for report in reports:
+            expected = oracle(report.theta)
+            assert report.per_period == expected
+            assert list(report.per_period) == labels
+            assert report.total == sum(expected.values(), Fraction(0))
+            assert report.upper_bound == months * active
+            assert report.period_months == months
+
+        selected = rng.choice(thetas)
+        baseline = sum(oracle(selected).values(), Fraction(0))
+        if baseline == 0:
+            with pytest.raises(ParameterError, match="zero total effort"):
+                error_table(matrix, selected, thetas)
+            continue
+        errors = error_table(matrix, selected, thetas)
+        assert list(errors) == list(thetas)
+        for theta, error in errors.items():
+            total = sum(oracle(theta).values(), Fraction(0))
+            assert error == (total - baseline) / baseline * 100
+
+
+def test_table_functions_raise_theta_then_period_then_first_negative():
+    def bad(months: int) -> ActivityMatrix:
+        return ActivityMatrix("commits", months, ["p", "q"], {"a": {"p": 2, "q": -3}, "b": {"p": -7}})
+
+    theta_error = "^theta must be >= 1, got 0$"
+    period_error = "^period length must be >= 1, got 0$"
+    negative_error = "^activity must be >= 0, got -3$"
+    with pytest.raises(ParameterError, match=theta_error):
+        error_table(bad(0), 0, [1, 2])
+    with pytest.raises(ParameterError, match=period_error):
+        error_table(bad(0), 5, [0, 1])
+    with pytest.raises(ParameterError, match=negative_error):
+        error_table(bad(6), 5, [0, 1])
+    with pytest.raises(ParameterError, match=theta_error):
+        error_table(matrix_from({"d": {"p": 3}}), 5, [1, 0])
+    with pytest.raises(ParameterError, match=theta_error):
+        reports_for_thetas(bad(0), [0, 5])
+    with pytest.raises(ParameterError, match=period_error):
+        reports_for_thetas(bad(0), [5, 0])
+    with pytest.raises(ParameterError, match=negative_error):
+        reports_for_thetas(bad(6), [5, 0])
+    with pytest.raises(ParameterError, match=theta_error):
+        reports_for_thetas(matrix_from({"d": {"p": 3}}), [5, 0])
+    # A non-zero cell under a label the matrix does not list is a KeyError, in row order.
+    unlisted = ActivityMatrix("commits", 6, ["p"], {"a": {"p": 1, "x": 0}, "b": {"x": 4, "p": -1}})
+    with pytest.raises(KeyError):
+        reports_for_thetas(unlisted, [5])
+    assert reports_for_thetas(bad(0), []) == []
+    assert reports_for_thetas(bad(6), []) == []
+
+
+def _effort_line_events(run) -> int:
+    """Line events in vcseffort/effort.py frames while ``run()`` executes."""
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        if event == "line":
+            events += 1
+        return local
+
+    def global_trace(frame, event, arg):
+        return local if frame.f_code.co_filename == effort.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(global_trace)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return events
+
+
+def test_threshold_table_cost_grows_slower_than_its_thetas():
+    # The matrix's cells are read a fixed number of times whatever the number
+    # of thetas; each theta adds only a bisection per period. Measured ratios
+    # of the counts at 160 and 40 thetas: 3.96 when every theta walked every
+    # cell, 1.63 with one sorted curve per matrix.
+    rng = random.Random(2222)
+    labels = [f"p{j:02d}" for j in range(12)]
+    counts = {
+        f"d{i}": {label: rng.randrange(1, 200) for label in rng.sample(labels, 6)}
+        for i in range(300)
+    }
+    matrix = ActivityMatrix("commits", 6, labels, counts)
+
+    def table(top: int) -> None:
+        thetas = range(1, top + 1)
+        error_table(matrix, 10, thetas)
+        reports_for_thetas(matrix, thetas)
+
+    table(40)  # warm-up, untraced
+    small = _effort_line_events(lambda: table(40))
+    large = _effort_line_events(lambda: table(160))
+    assert large / small < 2, (small, large)
 
 
 def test_upper_bound_validates_like_project_effort():

@@ -14,7 +14,7 @@ import json
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .activity import ActivityMatrix
 from .errors import ParameterError
@@ -113,19 +113,15 @@ def project_effort(matrix: ActivityMatrix | _EffortCurve, theta: int) -> EffortR
 
 
 def error_table(
-    matrix: ActivityMatrix, selected_theta: int, thetas: Sequence[int]
+    matrix: ActivityMatrix, selected_theta: int, thetas: Iterable[int]
 ) -> dict[int, Fraction]:
     """Percent deviation of total effort at each theta from the selected theta's total."""
     # The baseline comes first, so its parameter and cell errors win over the table's.
     baseline = project_effort(matrix, selected_theta).total
     if baseline == 0:
         raise ParameterError("error table undefined: zero total effort at the selected theta")
-    curve = _effort_curve(matrix)
-    table: dict[int, Fraction] = {}
-    for theta in thetas:
-        total = project_effort(curve, theta).total
-        table[theta] = (total - baseline) / baseline * 100
-    return table
+    reports = reports_for_thetas(matrix, list(thetas))
+    return {report.theta: (report.total - baseline) / baseline * 100 for report in reports}
 
 
 def render_quantity(value: Fraction) -> str:

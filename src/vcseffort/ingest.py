@@ -478,9 +478,7 @@ def read_repository_log(repo_path: str) -> list[str]:
     for line in result.stdout.decode("utf-8", "replace").split("\n"):
         if not line.strip():
             continue
-        parts = line.split("|")
         # Parent hashes never contain pipes, so the last field is always %P.
-        parents = parts[-1].split()
-        flag = "1" if len(parents) > 1 else "0"
-        lines.append("|".join(parts[:-1]) + "|" + flag)
+        fields, _, parents = line.rpartition("|")
+        lines.append(fields + ("|1" if len(parents.split()) > 1 else "|0"))
     return lines

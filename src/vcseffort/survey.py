@@ -107,13 +107,10 @@ def load_survey(path: str) -> list[SurveyResponse]:
 
 def _classify(response: SurveyResponse) -> tuple[str, str]:
     """Apply the ordered labeling rules; returns (label, provenance)."""
-    if response.self_class == "full":
-        provenance = PROVENANCE_TRIANGULATED if response.hours_bucket else PROVENANCE_SELF
-        return LABEL_FULL, provenance
-    if response.self_class in ("part", "occasional"):
-        provenance = PROVENANCE_TRIANGULATED if response.hours_bucket else PROVENANCE_SELF
-        return LABEL_NON_FULL, provenance
-    # No self classification: the hours bucket alone decides, marked amended.
+    if response.self_class in ("full", "part", "occasional"):
+        label = LABEL_FULL if response.self_class == "full" else LABEL_NON_FULL
+        return label, PROVENANCE_TRIANGULATED if response.hours_bucket else PROVENANCE_SELF
+    # No recognised self classification: the hours bucket alone decides, marked amended.
     if response.hours_bucket in FULL_TIME_HOURS:
         return LABEL_FULL, PROVENANCE_AMENDED
     return LABEL_NON_FULL, PROVENANCE_AMENDED

@@ -90,31 +90,18 @@ def generate(spec: PopulationSpec) -> SyntheticPopulation:
     spec.validate()
     rng = random.Random(spec.seed)
 
-    fulltime_ids = [_developer_id(i) for i in range(spec.n_fulltime)]
-    other_ids = [
-        _developer_id(i) for i in range(spec.n_fulltime, spec.n_fulltime + spec.n_other)
-    ]
-
-    counts: dict[str, int] = {}
-    fulltime_values = _power_law_values(
-        rng, spec.theta_true, spec.theta_true * 10, spec.skew_exponent, len(fulltime_ids)
+    ids = [_developer_id(i) for i in range(spec.n_fulltime + spec.n_other)]
+    values = _power_law_values(
+        rng, spec.theta_true, spec.theta_true * 10, spec.skew_exponent, spec.n_fulltime
     )
-    for developer_id, value in zip(fulltime_ids, fulltime_values):
-        counts[developer_id] = value
-    other_values = (
-        _power_law_values(rng, 1, spec.theta_true - 1, spec.skew_exponent, len(other_ids))
-        if other_ids
-        else []
-    )
-    for developer_id, value in zip(other_ids, other_values):
-        counts[developer_id] = value
+    if spec.n_other:
+        values += _power_law_values(rng, 1, spec.theta_true - 1, spec.skew_exponent, spec.n_other)
+    counts = dict(zip(ids, values))
 
     flipped = []
     labels = []
-    true_label = {developer_id: LABEL_FULL for developer_id in fulltime_ids}
-    true_label.update({developer_id: LABEL_NON_FULL for developer_id in other_ids})
-    for developer_id in fulltime_ids + other_ids:
-        label = true_label[developer_id]
+    for index, developer_id in enumerate(ids):
+        label = LABEL_FULL if index < spec.n_fulltime else LABEL_NON_FULL
         if spec.label_noise > 0 and rng.random() < spec.label_noise:
             label = LABEL_NON_FULL if label == LABEL_FULL else LABEL_FULL
             flipped.append(developer_id)
@@ -122,8 +109,8 @@ def generate(spec: PopulationSpec) -> SyntheticPopulation:
 
     ground_truth = GroundTruth(
         spec.theta_true,
-        min((counts[d] for d in fulltime_ids), default=None),
-        max((counts[d] for d in other_ids), default=None),
+        min(values[: spec.n_fulltime], default=None),
+        max(values[spec.n_fulltime :], default=None),
         tuple(flipped),
     )
     return SyntheticPopulation(spec, counts, tuple(labels), ground_truth)

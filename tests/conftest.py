@@ -8,6 +8,7 @@ as exact mismatches.
 
 from __future__ import annotations
 
+import sys
 from datetime import date
 from pathlib import Path
 
@@ -72,6 +73,32 @@ REFERENCE_ANCHOR = date(2013, 2, 1)
 def timelines(commits) -> dict[tuple[str, str], list[int]]:
     """Unfiltered timelines, ``{(name, email): sorted timestamps}``, of a commit list."""
     return apply_filters(commits, FilterConfig())[0]
+
+
+def line_events(module, run) -> int:
+    """Line events in ``module``'s frames while ``run()`` executes.
+
+    Cost-growth guards compare these counts at two input sizes: unlike times,
+    they do not depend on the machine's load.
+    """
+    events = 0
+
+    def local(frame, event, arg):
+        nonlocal events
+        if event == "line":
+            events += 1
+        return local
+
+    def global_trace(frame, event, arg):
+        return local if frame.f_code.co_filename == module.__file__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(global_trace)
+    try:
+        run()
+    finally:
+        sys.settrace(previous)
+    return events
 
 
 def reference_labels() -> list[SurveyLabel]:

@@ -4,13 +4,18 @@ from __future__ import annotations
 
 import json
 import random
-import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
-from conftest import EXPECTED_EFFORT, EXPECTED_ERROR, REFERENCE_PERIOD_LABEL, SELECTED_THETA
+from conftest import (
+    EXPECTED_EFFORT,
+    EXPECTED_ERROR,
+    REFERENCE_PERIOD_LABEL,
+    SELECTED_THETA,
+    line_events,
+)
 from vcseffort import effort
 from vcseffort.activity import ActivityMatrix
 from vcseffort.effort import (
@@ -272,28 +277,6 @@ def test_table_functions_raise_theta_then_period_then_first_negative():
     assert reports_for_thetas(bad(6), []) == []
 
 
-def _effort_line_events(run) -> int:
-    """Line events in vcseffort/effort.py frames while ``run()`` executes."""
-    events = 0
-
-    def local(frame, event, arg):
-        nonlocal events
-        if event == "line":
-            events += 1
-        return local
-
-    def global_trace(frame, event, arg):
-        return local if frame.f_code.co_filename == effort.__file__ else None
-
-    previous = sys.gettrace()
-    sys.settrace(global_trace)
-    try:
-        run()
-    finally:
-        sys.settrace(previous)
-    return events
-
-
 def test_threshold_table_cost_grows_slower_than_its_thetas():
     # The matrix's cells are read a fixed number of times whatever the number
     # of thetas; each theta adds only a bisection per period. Measured ratios
@@ -313,8 +296,8 @@ def test_threshold_table_cost_grows_slower_than_its_thetas():
         reports_for_thetas(matrix, thetas)
 
     table(40)  # warm-up, untraced
-    small = _effort_line_events(lambda: table(40))
-    large = _effort_line_events(lambda: table(160))
+    small = line_events(effort, lambda: table(40))
+    large = line_events(effort, lambda: table(160))
     assert large / small < 2, (small, large)
 
 
@@ -333,6 +316,23 @@ def test_project_effort_validates_parameters_up_front():
         project_effort(matrix_from({"d": {"p": 3}}, months=0), 5)
     with pytest.raises(ParameterError, match="activity"):
         project_effort(matrix_from({"d": {"p": -1}}), 5)
+
+
+def test_error_table_takes_a_generator_and_repeated_thetas():
+    rng = random.Random(4141)
+    matrix = matrix_from(
+        {f"d{i}": {label: rng.randrange(0, 30) for label in ("p", "q", "r")} for i in range(20)}
+    )
+    baseline = project_effort(matrix, 7).total
+    thetas = [5, 1, 9, 5, 31, 1, 9]
+    expected = {
+        theta: (project_effort(matrix, theta).total - baseline) / baseline * 100
+        for theta in thetas
+    }
+    assert list(expected) == [5, 1, 9, 31]
+    assert error_table(matrix, 7, (theta for theta in thetas)) == expected
+    assert list(error_table(matrix, 7, iter(thetas))) == [5, 1, 9, 31]
+    assert error_table(matrix, 7, iter(())) == {}
 
 
 def test_error_table_zero_baseline_rejected():

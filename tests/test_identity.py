@@ -6,7 +6,8 @@ import random
 
 import pytest
 
-from conftest import timelines
+from conftest import line_events, timelines
+from vcseffort import identity
 from vcseffort.errors import ConfigError
 from vcseffort.identity import (
     AliasMap,
@@ -450,3 +451,26 @@ def test_ids_stay_distinct_and_match_oracle():
         assert resolve_identities(timelines(shuffled), AliasMap(directives), name_merging) == (
             assignments, roster
         )
+
+
+@pytest.mark.parametrize("name_merging", [False, True])
+def test_resolution_cost_grows_linearly_with_pairs_and_directives(name_merging):
+    # Pairs share emails and names, and one directive per 100 pairs merges by
+    # email or by name. Measured ratios of the counts at 8,000 and 2,000 pairs:
+    # 4.02 without name merging and 4.12 with it, under hash seeds 0 to 2.
+    # Scanning every directive for every pair reads 8.9 and 7.6.
+    def resolve(n: int) -> None:
+        rng = random.Random(n)
+        pairs = [
+            (f"Dev {rng.randrange(n // 2)}", f"d{rng.randrange(n // 2)}@x.org" if i % 9 else "")
+            for i in range(n)
+        ]
+        directives = tuple(
+            (f"d{k}@x.org" if k % 2 else f"Dev {k}", f"canon{k % 7}@x.org") for k in range(n // 100)
+        )
+        resolve_identities(pairs, AliasMap(directives), name_merging)
+
+    resolve(2000)  # warm-up, untraced
+    small = line_events(identity, lambda: resolve(2000))
+    large = line_events(identity, lambda: resolve(8000))
+    assert large / small < 6, (small, large)

@@ -361,6 +361,49 @@ def test_read_repository_log(tmp_path):
 
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
+def test_read_repository_log_flags_octopus_merges_and_keeps_pipes_in_names(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args, name="Test Dev", email="dev@example.org"):
+        return subprocess.run(
+            ["git", "-c", "user.name=Test Dev", "-c", "user.email=test@example.org",
+             "-C", str(repo), *args],
+            check=True,
+            capture_output=True,
+            env={**os.environ, "GIT_AUTHOR_NAME": name, "GIT_AUTHOR_EMAIL": email},
+        ).stdout.decode("utf-8").strip()
+
+    git("init", "-q")
+    git("checkout", "-q", "-b", "main")
+    authors = {"root": ("Ann|Lee", "ann@example.org"), "left": ("Bo", "bo@example.org"),
+               "right": ("|Cy||Ro|", "cy@example.org"), "octopus": ("Dee", "dee@example.org")}
+
+    def commit(branch):
+        (repo / f"{branch}.txt").write_text(f"{branch}\n", encoding="utf-8")
+        git("add", f"{branch}.txt")
+        git("commit", "-q", "-m", branch, name=authors[branch][0], email=authors[branch][1])
+        return git("rev-parse", "HEAD")
+
+    hashes = {"root": commit("root")}
+    for branch in ("left", "right"):
+        git("checkout", "-q", "-b", branch, "main")
+        hashes[branch] = commit(branch)
+    git("checkout", "-q", "main")
+    name, email = authors["octopus"]
+    git("merge", "-q", "--no-ff", "-m", "octopus", "left", "right", name=name, email=email)
+    hashes["octopus"] = git("rev-parse", "HEAD")
+    assert len(git("rev-parse", "HEAD^@").split()) == 3
+
+    result = parse_log_stream(read_repository_log(str(repo)))
+    assert result.malformed == []
+    by_hash = {record.hash: record for record in result.records}
+    # The root has no parent, a plain commit one, and the octopus three.
+    assert [by_hash[hashes[c]].is_merge for c in authors] == [False, False, False, True]
+    assert {c: (by_hash[h].author_name, by_hash[h].author_email) for c, h in hashes.items()} == authors
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
 def test_read_repository_log_keeps_line_breaks_in_author_names(tmp_path):
     repo = tmp_path / "repo"
     repo.mkdir()

@@ -57,6 +57,11 @@ ROSTER = [developer("d@x.org"), developer("e@x.org")]
         ("", "20", LABEL_NON_FULL, PROVENANCE_AMENDED),
         ("", "10", LABEL_NON_FULL, PROVENANCE_AMENDED),
         ("", "lt5", LABEL_NON_FULL, PROVENANCE_AMENDED),
+        # load_survey rejects other classes; a hand-built one falls to the hours rule.
+        ("Full", "gt40", LABEL_FULL, PROVENANCE_AMENDED),
+        ("Full", "", LABEL_NON_FULL, PROVENANCE_AMENDED),
+        ("contractor", "40", LABEL_FULL, PROVENANCE_AMENDED),
+        ("contractor", "10", LABEL_NON_FULL, PROVENANCE_AMENDED),
     ],
 )
 def test_labeling_rules(self_class, hours, label, provenance):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 from datetime import date
@@ -168,6 +169,24 @@ def test_theta_one_allowed_without_others():
 def test_separating_range_none_without_fulltimers():
     population = generate(spec(n_fulltime=0, n_other=5, theta_true=4))
     assert population.ground_truth.separating_range() is None
+
+
+@pytest.mark.parametrize(
+    "overrides,digest",
+    [
+        (dict(n_fulltime=0, n_other=9, theta_true=4),
+         "744641fcc234302e83a0f4d7c6e10430990d79fd3b991036f09c5a34b0c07f80"),
+        (dict(n_fulltime=6, n_other=0, theta_true=1),
+         "764ca2d3ba43b263af0b04905ef59a9389f7d5fe07a1f58a566f1b0e80553a15"),
+        (dict(label_noise=1.0),
+         "fd43732ef7d233236a9738f9befc887f3db70d6bf5992439e4071ce14aa72328"),
+    ],
+)
+def test_edge_populations_match_their_frozen_digests(overrides, digest):
+    # Counts, labels and ground truth, draw for draw, as generated when each group
+    # kept its own id list and label map.
+    population = generate(spec(**overrides))
+    assert hashlib.sha256(repr(tuple(population)).encode("utf-8")).hexdigest() == digest
 
 
 def test_write_fixture_round_trip(tmp_path):

@@ -140,8 +140,8 @@ def _bucket(
     assignments: Mapping[tuple[str, str], str],
     bounds: Sequence[int],
     metric: str,
-) -> tuple[list[dict[str, int]], int]:
-    """``{developer_id: activity}`` for each window ``[bounds[i], bounds[i + 1])``.
+) -> tuple[dict[str, dict[int, int]], int]:
+    """``{developer_id: {i: activity}}`` for each active window ``[bounds[i], bounds[i + 1])``.
 
     ``timelines`` maps each (author_name, author_email) pair to its sorted
     timestamps, which count for the developer ``assignments[pair]``. Also
@@ -168,8 +168,9 @@ def _bucket(
                 found.append((stamps, lo, hi))
 
     by_day = metric == METRIC_ACTIVE_DAYS
-    windows: list[dict[str, int]] = [{} for _ in range(len(bounds) - 1)]
+    rows: dict[str, dict[int, int]] = {}
     for developer_id, found in ranges.items():
+        row = rows[developer_id] = {}
         if len(found) == 1:
             points, start, stop = found[0]
         else:
@@ -187,9 +188,9 @@ def _bucket(
                     start = bisect_left(points, points[start] // 86400 * 86400 + 86400, start, cut)
             else:
                 count = cut - start
-            windows[index][developer_id] = count
+            row[index] = count
             start = cut
-    return windows, overflow
+    return rows, overflow
 
 
 def aggregate(
@@ -221,11 +222,8 @@ def aggregate(
         labels = [label for label, _, _ in windows]
         bounds = [start for _, start, _ in windows] + [date_to_epoch(spec.anchor)]
 
-    per_window, overflow = _bucket(timelines, assignments, bounds, metric)
-    counts: dict[str, dict[str, int]] = {}
-    for label, row in zip(labels, per_window):
-        for developer_id, count in row.items():
-            counts.setdefault(developer_id, {})[label] = count
+    rows, overflow = _bucket(timelines, assignments, bounds, metric)
+    counts = {developer: {labels[i]: n for i, n in row.items()} for developer, row in rows.items()}
     return ActivityMatrix(metric, spec.length_months, labels, counts, overflow)
 
 
@@ -242,5 +240,5 @@ def activity_in_window(
     if metric not in METRICS:
         raise ConfigError(f"unknown metric {metric!r}")
     bounds = [date_to_epoch(subtract_months(window_end, length_months)), date_to_epoch(window_end)]
-    (counts,), _ = _bucket(timelines, assignments, bounds, metric)
-    return counts
+    rows, _ = _bucket(timelines, assignments, bounds, metric)
+    return {developer_id: row[0] for developer_id, row in rows.items()}

@@ -73,6 +73,8 @@ _REPORT_FILENAMES = {"json": "report.json", "csv": "report.csv", "markdown": "re
 
 # Config-file key -> (the option's argparse action, its default); filled by build_parser.
 Registry = dict[str, tuple[argparse.Action, object]]
+# What a command hands main: its output files, its run.json record, its stdout summary line.
+_Outcome = tuple[dict[str, object], dict, str]
 
 
 def _switch(text: str) -> bool:
@@ -237,7 +239,8 @@ def _calibrate_flow(config: argparse.Namespace, timelines, assignments, roster):
     labels, exclusions, window_end, counts = _survey_labels(config, timelines, assignments, roster)
     metrics = sweep(counts, labels, config.theta_max)
     selection = select_theta(metrics, config.select)
-    full = sum(1 for label in labels if label.label == LABEL_FULL)
+    label_counts = Counter(label.label for label in labels)
+    full = label_counts[LABEL_FULL]
     print(
         f"labels: {len(labels)} (full-time {full}, non-full-time {len(labels) - full}); "
         f"exclusions: {len(exclusions)}"
@@ -246,29 +249,25 @@ def _calibrate_flow(config: argparse.Namespace, timelines, assignments, roster):
         **selection._asdict(),
         "theta_max": metrics[-1].theta,
         "window_end": window_end,
-        "label_counts": Counter(label.label for label in labels),
+        "label_counts": label_counts,
         "exclusion_counts": Counter(exclusion.reason for exclusion in exclusions),
     }
     return metrics, selection, payload
 
 
-def cmd_calibrate(config: argparse.Namespace) -> int:
+def cmd_calibrate(config: argparse.Namespace) -> _Outcome:
     timelines, assignments, roster, ingest_info = _ingest(config)
     metrics, selection, payload = _calibrate_flow(config, timelines, assignments, roster)
-    _write_outputs(
-        config,
+    low, high = selection.argmax_range
+    return (
         {"sweep.csv": sweep_to_csv(metrics), "selection.json": payload},
         {"result": {"selected_theta": selection.selected_theta}, "ingest": ingest_info},
-    )
-    low, high = selection.argmax_range
-    print(
         f"theta range [{low},{high}], selected {selection.selected_theta}, "
-        f"goodness {selection.max_goodness:.2f}"
+        f"goodness {selection.max_goodness:.2f}",
     )
-    return EXIT_OK
 
 
-def cmd_estimate(config: argparse.Namespace) -> int:
+def cmd_estimate(config: argparse.Namespace) -> _Outcome:
     if (config.theta is None) == (config.survey is None):
         raise ConfigError("estimate requires exactly one of --theta or --survey")
     spec = PeriodSpec(config.period_months, config.alignment, config.anchor)
@@ -283,10 +282,7 @@ def cmd_estimate(config: argparse.Namespace) -> int:
 
     matrix = aggregate(timelines, assignments, spec, config.metric)
 
-    thetas = list(range(1, config.theta_max + 1)) if config.theta_max else []
-    if theta not in thetas:
-        thetas.append(theta)
-        thetas.sort()
+    thetas = sorted({theta, *range(1, (config.theta_max or 0) + 1)})
     selected_report = project_effort(matrix, theta)
     errors = (
         error_table(matrix, theta, thetas)
@@ -300,22 +296,18 @@ def cmd_estimate(config: argparse.Namespace) -> int:
     result["total_pm"] = render_quantity(selected_report.total)
     result["upper_bound_pm"] = render_quantity(selected_report.upper_bound)
     result["overflow_commits"] = matrix.overflow_commits
-    _write_outputs(
-        config,
+    return (
         {
             "activity.csv": matrix.to_csv(),
             _REPORT_FILENAMES[config.format]: renderers[config.format](reports, theta, errors),
         },
         {"result": result, "ingest": ingest_info},
-    )
-    print(
         f"total effort {result['total_pm']} PM "
-        f"(theta {theta}, upper bound {result['upper_bound_pm']} PM)"
+        f"(theta {theta}, upper bound {result['upper_bound_pm']} PM)",
     )
-    return EXIT_OK
 
 
-def cmd_representativeness(config: argparse.Namespace) -> int:
+def cmd_representativeness(config: argparse.Namespace) -> _Outcome:
     timelines, assignments, roster, ingest_info = _ingest(config)
     labels, exclusions, window_end, counts = _survey_labels(config, timelines, assignments, roster)
     all_counts = {developer.developer_id: counts.get(developer.developer_id, 0) for developer in roster}
@@ -323,8 +315,7 @@ def cmd_representativeness(config: argparse.Namespace) -> int:
     rows = representativeness_table(all_counts, surveyed_counts, config.cutoffs)
 
     insufficient = sum(1 for row in rows if row.ks is None)
-    _write_outputs(
-        config,
+    return (
         {"representativeness.csv": representativeness_to_csv(rows)},
         {
             "result": {
@@ -336,12 +327,11 @@ def cmd_representativeness(config: argparse.Namespace) -> int:
             },
             "ingest": ingest_info,
         },
+        f"representativeness: {len(rows)} cutoffs, {insufficient} insufficient",
     )
-    print(f"representativeness: {len(rows)} cutoffs, {insufficient} insufficient")
-    return EXIT_OK
 
 
-def cmd_synth(config: argparse.Namespace) -> int:
+def cmd_synth(config: argparse.Namespace) -> _Outcome:
     spec = PopulationSpec(
         n_fulltime=config.fulltime,
         n_other=config.other,
@@ -356,8 +346,7 @@ def cmd_synth(config: argparse.Namespace) -> int:
         population, config.out, anchor, config.period_months, config.log_format
     )
     total_commits = sum(population.counts.values())
-    _write_outputs(
-        config,
+    return (
         {},
         {
             "result": {
@@ -367,9 +356,8 @@ def cmd_synth(config: argparse.Namespace) -> int:
                 "anchor": anchor,
             }
         },
+        f"generated {len(population.counts)} developers, {total_commits} commits",
     )
-    print(f"generated {len(population.counts)} developers, {total_commits} commits")
-    return EXIT_OK
 
 
 _COMMANDS = {
@@ -495,7 +483,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         config = resolve_config(args, options)
         if config.command in ("calibrate", "representativeness") and not config.survey:
             raise ConfigError(f"{config.command} requires --survey")
-        return _COMMANDS[config.command](config)
+        files, record, summary = _COMMANDS[config.command](config)
+        _write_outputs(config, files, record)
+        print(summary)
+        return EXIT_OK
     except (IngestionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -31,8 +31,10 @@ EXCLUDE_INCONSISTENT = "inconsistent"
 
 SURVEY_HEADER = ("email", "self_class", "hours_bucket", "survey_date", "suspect")
 
-_TRUTHY = ("1", "true", "yes")
-_FALSY = ("", "0", "false", "no")
+# A suspect cell, lowered -> whether it flags the response.
+_SUSPECT_FLAGS = {
+    "1": True, "true": True, "yes": True, "": False, "0": False, "false": False, "no": False,
+}
 
 
 class SurveyResponse(NamedTuple):
@@ -72,35 +74,21 @@ def load_survey(path: str) -> list[SurveyResponse]:
         for row_no, row in enumerate(reader, start=2):
             if not row or not any(cell.strip() for cell in row):
                 continue
+            where = f"survey file {path} row {row_no}"
             if len(row) != len(SURVEY_HEADER):
-                raise IngestionError(
-                    f"survey file {path} row {row_no}: expected "
-                    f"{len(SURVEY_HEADER)} columns, got {len(row)}"
-                )
+                raise IngestionError(f"{where}: expected {len(SURVEY_HEADER)} columns, got {len(row)}")
             email, self_class, hours, date_text, suspect = (cell.strip() for cell in row)
             if self_class not in SELF_CLASSES:
-                raise IngestionError(
-                    f"survey file {path} row {row_no}: bad self_class {self_class!r}"
-                )
+                raise IngestionError(f"{where}: bad self_class {self_class!r}")
             if hours not in HOURS_BUCKETS:
-                raise IngestionError(
-                    f"survey file {path} row {row_no}: bad hours_bucket {hours!r}"
-                )
+                raise IngestionError(f"{where}: bad hours_bucket {hours!r}")
             try:
                 when = iso_date(date_text)
             except ValueError:
-                raise IngestionError(
-                    f"survey file {path} row {row_no}: bad survey_date {date_text!r}"
-                ) from None
-            lowered = suspect.lower()
-            if lowered in _TRUTHY:
-                flagged = True
-            elif lowered in _FALSY:
-                flagged = False
-            else:
-                raise IngestionError(
-                    f"survey file {path} row {row_no}: bad suspect flag {suspect!r}"
-                )
+                raise IngestionError(f"{where}: bad survey_date {date_text!r}") from None
+            flagged = _SUSPECT_FLAGS.get(suspect.lower())
+            if flagged is None:
+                raise IngestionError(f"{where}: bad suspect flag {suspect!r}")
             responses.append(SurveyResponse(email, self_class, hours, when, flagged))
     return responses
 

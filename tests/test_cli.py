@@ -145,6 +145,28 @@ def test_estimate_markdown_and_csv_formats(reference_inputs, tmp_path, capsys):
         assert "6.60" in text
 
 
+@pytest.mark.parametrize(
+    "theta,theta_max,rows",
+    [("20", ["--theta-max", "13"], [*range(1, 14), 20]),
+     ("13", ["--theta-max", "13"], list(range(1, 14))),
+     ("10", [], [10])],
+)
+def test_estimate_reports_each_threshold_once(theta, theta_max, rows, reference_inputs, tmp_path,
+                                              capsys):
+    # The report lists 1..theta-max and the selected theta, sorted and without repeats;
+    # only the selected theta's error cell reads "--".
+    code, _, err = run(
+        ["estimate", "--log", str(reference_inputs["log"]), *REFERENCE_ARGS, "--alignment", "rolling",
+         "--theta", theta, *theta_max, "--format", "csv", "--out", str(tmp_path)],
+        capsys,
+    )
+    assert (code, err) == (EXIT_OK, "")
+    with open(tmp_path / "report.csv", encoding="utf-8", newline="") as handle:
+        report = list(csv.DictReader(handle))
+    assert [int(row["theta"]) for row in report] == rows
+    assert [row["theta"] for row in report if row["error_vs_selected"] == "--"] == [theta]
+
+
 def test_estimate_requires_exactly_one_theta_source(reference_inputs, tmp_path, capsys):
     base = [
         "estimate",

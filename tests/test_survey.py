@@ -219,6 +219,42 @@ def test_load_survey_rejects_bad_values(tmp_path, row, message):
         load_survey(str(path))
 
 
+@pytest.mark.parametrize(
+    "row,error",
+    [
+        ("d@x.org,boss,,2013-02-01,", "bad self_class 'boss'"),
+        ("d@x.org,full, 55 ,2013-02-01,", "bad hours_bucket '55'"),
+        ("d@x.org,full,,02/01/2013,", "bad survey_date '02/01/2013'"),
+        ("d@x.org,full,,2013-02-01,maybe", "bad suspect flag 'maybe'"),
+        ("d@x.org,full,,2013-02-01", "expected 5 columns, got 4"),
+    ],
+)
+def test_load_survey_error_names_the_file_and_row(tmp_path, row, error):
+    path = tmp_path / "survey.csv"
+    path.write_text(survey_text(["e@x.org,part,10,2013-02-01,no", row]), encoding="utf-8")
+    with pytest.raises(IngestionError) as caught:
+        load_survey(str(path))
+    assert str(caught.value) == f"survey file {path} row 3: {error}"
+
+
+@pytest.mark.parametrize(
+    "cell,flagged",
+    [
+        ("TRUE", True), ("Yes", True), ("1", True),
+        ("", False), ("0", False), ("False", False), ("NO", False),
+        ("y", None), ("2", None),
+    ],
+)
+def test_load_survey_suspect_vocabulary(tmp_path, cell, flagged):
+    path = tmp_path / "survey.csv"
+    path.write_text(survey_text([f"d@x.org,full,,2013-02-01,{cell}"]), encoding="utf-8")
+    if flagged is None:
+        with pytest.raises(IngestionError, match=f"row 2: bad suspect flag '{cell}'$"):
+            load_survey(str(path))
+    else:
+        assert load_survey(str(path))[0].free_text_flag is flagged
+
+
 def test_load_survey_skips_blank_rows(tmp_path):
     path = tmp_path / "survey.csv"
     # Blank lines and rows whose cells are all empty carry no response.

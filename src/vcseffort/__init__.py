@@ -6,108 +6,63 @@ calibrate a full-time activity threshold against survey labels, and sum
 saturated per-developer efforts. Sample representativeness can be checked
 with two-sample KS tests, and seeded synthetic populations support
 end-to-end validation against a planted threshold.
+
+The exported names load lazily (PEP 562): ``import vcseffort`` imports no
+submodule, and each name or submodule is imported on first access, so a
+command pays only for the layers it runs.
 """
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-from .activity import (
-    ActivityMatrix,
-    PeriodSpec,
-    activity_in_window,
-    aggregate,
-    subtract_months,
-)
-from .calibration import (
-    ThetaSelection,
-    ThresholdMetrics,
-    confusion_at,
-    metrics_at,
-    select_theta,
-    sweep,
-)
-from .effort import (
-    EffortReport,
-    developer_effort,
-    error_table,
-    project_effort,
-    render_percent,
-    render_quantity,
-    upper_bound,
-)
-from .errors import (
-    CalibrationError,
-    ConfigError,
-    GenerationError,
-    IngestionError,
-    ParameterError,
-    VcsEffortError,
-)
-from .identity import AliasMap, CanonicalDeveloper, load_alias_map, resolve_identities
-from .ingest import (
-    CommitRecord,
-    FilterConfig,
-    ParseResult,
-    apply_filters,
-    parse_log_file,
-    parse_log_stream,
-)
-from .stats import (
-    KsResult,
-    PopulationSummary,
-    ks_two_sample,
-    representativeness_table,
-    summarize,
-)
-from .survey import SurveyLabel, SurveyResponse, load_survey, triangulate
-from .synth import GroundTruth, PopulationSpec, SyntheticPopulation, generate, write_fixture
+# The CLI parser records every option's default in run.json, so it needs these on
+# every run; calibration and stats import them from here.
+SELECT_MIN = "min"
+SELECT_MAX = "max"
+SELECT_LOWER_MEDIAN = "lower-median"
+SELECTION_POLICIES = (SELECT_MIN, SELECT_MAX, SELECT_LOWER_MEDIAN)
+DEFAULT_CUTOFFS = (0, 1, 2, 3, 4, 5, 8, 11)
 
-__all__ = [
-    "ActivityMatrix",
-    "AliasMap",
-    "CalibrationError",
-    "CanonicalDeveloper",
-    "CommitRecord",
-    "ConfigError",
-    "EffortReport",
-    "FilterConfig",
-    "GenerationError",
-    "GroundTruth",
-    "IngestionError",
-    "KsResult",
-    "ParameterError",
-    "ParseResult",
-    "PeriodSpec",
-    "PopulationSpec",
-    "PopulationSummary",
-    "SurveyLabel",
-    "SurveyResponse",
-    "SyntheticPopulation",
-    "ThetaSelection",
-    "ThresholdMetrics",
-    "VcsEffortError",
-    "activity_in_window",
-    "aggregate",
-    "apply_filters",
-    "confusion_at",
-    "developer_effort",
-    "error_table",
-    "generate",
-    "ks_two_sample",
-    "load_alias_map",
-    "load_survey",
-    "metrics_at",
-    "parse_log_file",
-    "parse_log_stream",
-    "project_effort",
-    "render_percent",
-    "render_quantity",
-    "representativeness_table",
-    "resolve_identities",
-    "select_theta",
-    "subtract_months",
-    "summarize",
-    "sweep",
-    "triangulate",
-    "upper_bound",
-    "write_fixture",
-]
+_EXPORTS = {
+    "activity": ("ActivityMatrix", "PeriodSpec", "activity_in_window", "aggregate", "subtract_months"),
+    "calibration": (
+        "ThetaSelection", "ThresholdMetrics", "confusion_at", "metrics_at", "select_theta", "sweep",
+    ),
+    "effort": (
+        "EffortReport", "developer_effort", "error_table", "project_effort", "render_percent",
+        "render_quantity", "upper_bound",
+    ),
+    "errors": (
+        "CalibrationError", "ConfigError", "GenerationError", "IngestionError", "ParameterError",
+        "VcsEffortError",
+    ),
+    "identity": ("AliasMap", "CanonicalDeveloper", "load_alias_map", "resolve_identities"),
+    "ingest": (
+        "CommitRecord", "FilterConfig", "ParseResult", "apply_filters", "parse_log_file",
+        "parse_log_stream",
+    ),
+    "stats": ("KsResult", "PopulationSummary", "ks_two_sample", "representativeness_table", "summarize"),
+    "survey": ("SurveyLabel", "SurveyResponse", "load_survey", "triangulate"),
+    "synth": ("GroundTruth", "PopulationSpec", "SyntheticPopulation", "generate", "write_fixture"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str) -> object:
+    # _import_module, not ``from . import``: the latter looks the submodule up as an
+    # attribute of this package first, which re-enters this function without end.
+    if name in _MODULE_OF:
+        value = getattr(_import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
+    elif name in _EXPORTS:
+        value = _import_module(f"{__name__}.{name}")
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

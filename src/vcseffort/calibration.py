@@ -6,13 +6,9 @@ from bisect import bisect_left
 from functools import partial
 from typing import Mapping, NamedTuple, Sequence
 
+from . import SELECT_LOWER_MEDIAN, SELECT_MAX, SELECT_MIN, SELECTION_POLICIES
 from .errors import CalibrationError, ConfigError, ParameterError
 from .survey import LABEL_FULL, SurveyLabel
-
-SELECT_MIN = "min"
-SELECT_MAX = "max"
-SELECT_LOWER_MEDIAN = "lower-median"
-SELECTION_POLICIES = (SELECT_MIN, SELECT_MAX, SELECT_LOWER_MEDIAN)
 
 
 class ThresholdMetrics(NamedTuple):

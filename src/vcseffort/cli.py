@@ -16,7 +16,9 @@ from datetime import date
 from pathlib import Path
 from typing import Sequence
 
-from . import __version__
+# Only the layers that build_parser, main and _ingest use load here; each command
+# imports the rest, so a run loads only the layers its command executes.
+from . import DEFAULT_CUTOFFS, SELECT_LOWER_MEDIAN, SELECTION_POLICIES, __version__
 from .activity import (
     ALIGNMENT_CALENDAR,
     ALIGNMENT_ROLLING,
@@ -25,22 +27,6 @@ from .activity import (
     PeriodSpec,
     activity_in_window,
     aggregate,
-)
-from .calibration import (
-    SELECT_LOWER_MEDIAN,
-    SELECTION_POLICIES,
-    select_theta,
-    sweep,
-    sweep_to_csv,
-)
-from .effort import (
-    error_table,
-    project_effort,
-    render_csv,
-    render_json,
-    render_markdown,
-    render_quantity,
-    reports_for_thetas,
 )
 from .errors import CalibrationError, ConfigError, IngestionError, VcsEffortError
 from .identity import AliasMap, load_alias_map, resolve_identities
@@ -56,9 +42,6 @@ from .ingest import (
     read_repository_log,
     setting_lines,
 )
-from .stats import DEFAULT_CUTOFFS, representativeness_table, representativeness_to_csv
-from .survey import LABEL_FULL, load_survey, triangulate
-from .synth import PopulationSpec, generate, write_fixture
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -223,6 +206,8 @@ def _ingest(config: argparse.Namespace):
 
 def _survey_labels(config: argparse.Namespace, timelines, assignments, roster):
     """Survey labels, and each developer's activity in the window that ends at the survey."""
+    from .survey import load_survey, triangulate
+
     responses = load_survey(config.survey)
     if not responses:
         raise CalibrationError(f"survey {config.survey} has no responses")
@@ -236,6 +221,9 @@ def _survey_labels(config: argparse.Namespace, timelines, assignments, roster):
 
 
 def _calibrate_flow(config: argparse.Namespace, timelines, assignments, roster):
+    from .calibration import select_theta, sweep
+    from .survey import LABEL_FULL
+
     labels, exclusions, window_end, counts = _survey_labels(config, timelines, assignments, roster)
     metrics = sweep(counts, labels, config.theta_max)
     selection = select_theta(metrics, config.select)
@@ -256,6 +244,8 @@ def _calibrate_flow(config: argparse.Namespace, timelines, assignments, roster):
 
 
 def cmd_calibrate(config: argparse.Namespace) -> _Outcome:
+    from .calibration import sweep_to_csv
+
     timelines, assignments, roster, ingest_info = _ingest(config)
     metrics, selection, payload = _calibrate_flow(config, timelines, assignments, roster)
     low, high = selection.argmax_range
@@ -268,6 +258,17 @@ def cmd_calibrate(config: argparse.Namespace) -> _Outcome:
 
 
 def cmd_estimate(config: argparse.Namespace) -> _Outcome:
+    # Imported per call: perfbench/tracer.py times these by rebinding the module's names.
+    from .effort import (
+        error_table,
+        project_effort,
+        render_csv,
+        render_json,
+        render_markdown,
+        render_quantity,
+        reports_for_thetas,
+    )
+
     if (config.theta is None) == (config.survey is None):
         raise ConfigError("estimate requires exactly one of --theta or --survey")
     spec = PeriodSpec(config.period_months, config.alignment, config.anchor)
@@ -291,7 +292,6 @@ def cmd_estimate(config: argparse.Namespace) -> _Outcome:
     )
     reports = reports_for_thetas(matrix, thetas)
 
-    # Built per call: perfbench/tracer.py times the renderers by rebinding these names.
     renderers = {"json": render_json, "csv": render_csv, "markdown": render_markdown}
     result["total_pm"] = render_quantity(selected_report.total)
     result["upper_bound_pm"] = render_quantity(selected_report.upper_bound)
@@ -308,6 +308,8 @@ def cmd_estimate(config: argparse.Namespace) -> _Outcome:
 
 
 def cmd_representativeness(config: argparse.Namespace) -> _Outcome:
+    from .stats import representativeness_table, representativeness_to_csv
+
     timelines, assignments, roster, ingest_info = _ingest(config)
     labels, exclusions, window_end, counts = _survey_labels(config, timelines, assignments, roster)
     all_counts = {developer.developer_id: counts.get(developer.developer_id, 0) for developer in roster}
@@ -332,6 +334,8 @@ def cmd_representativeness(config: argparse.Namespace) -> _Outcome:
 
 
 def cmd_synth(config: argparse.Namespace) -> _Outcome:
+    from .synth import PopulationSpec, generate, write_fixture
+
     spec = PopulationSpec(
         n_fulltime=config.fulltime,
         n_other=config.other,

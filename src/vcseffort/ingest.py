@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import json
 import re
-import subprocess
 import sys
 from collections import defaultdict
 from contextlib import AbstractContextManager, contextmanager
@@ -456,6 +455,9 @@ def read_repository_log(repo_path: str) -> list[str]:
     are replaced, as in ``parse_log_file``. Records end at a line feed only,
     so an author name keeps any carriage return, form feed or line separator.
     """
+    # Imported here, so that only --repo runs pay for loading it.
+    import subprocess
+
     command = [
         "git",
         "-C",

@@ -9,9 +9,8 @@ import sys
 from bisect import bisect_right
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
+from . import DEFAULT_CUTOFFS
 from .errors import ParameterError
-
-DEFAULT_CUTOFFS = (0, 1, 2, 3, 4, 5, 8, 11)
 
 REPRESENTATIVENESS_CSV_HEADER = (
     "cutoff",

@@ -505,6 +505,49 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert result.stdout == "[]\n"
 
 
+# Modules a command adds to a fresh interpreter, counted from before the package is
+# imported, so a site hook that loads one of them does not count.
+LOADED_MODULES_PROBE = """
+import sys
+before = set(sys.modules)
+from vcseffort.cli import main
+try:
+    code = main(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(code, *sorted(set(sys.modules) - before))
+"""
+
+
+@pytest.mark.parametrize(
+    "command, unused",
+    [
+        ("estimate", ("survey", "calibration", "stats", "synth", "subprocess")),
+        ("calibrate", ("effort", "stats", "synth", "subprocess")),
+        ("--version", ("effort", "survey", "calibration", "stats", "synth")),
+    ],
+)
+def test_each_command_loads_only_the_layers_it_runs(command, unused, reference_inputs, tmp_path):
+    args = {
+        "estimate": ["estimate", "--log", str(reference_inputs["log"]), "--theta", "10",
+                     "--theta-max", "13", "--out", str(tmp_path)],
+        "calibrate": ["calibrate", "--log", str(reference_inputs["log"]),
+                      "--survey", str(reference_inputs["survey"]), "--out", str(tmp_path)],
+        "--version": ["--version"],
+    }[command]
+    result = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES_PROBE, *args],
+        cwd=Path(__file__).resolve().parents[1],
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, check=True,
+    )
+    code, *added = result.stdout.splitlines()[-1].split()
+    assert code == "0", result.stderr
+    assert "vcseffort.cli" in added
+    names = [name if name == "subprocess" else f"vcseffort.{name}" for name in unused]
+    assert sorted(set(names) & set(added)) == []
+
+
 def test_config_file_cannot_name_another_config(tmp_path, capsys):
     config = tmp_path / "run.conf"
     config.write_text("config = x\n", encoding="utf-8")

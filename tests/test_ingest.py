@@ -564,7 +564,7 @@ def test_commit_record_public_surface():
 
 
 EXPORTED_RECORDS = [
-    cls for cls in map(vars(vcseffort).get, vcseffort.__all__)
+    cls for cls in (getattr(vcseffort, name) for name in vcseffort.__all__)
     if isinstance(cls, type) and not issubclass(cls, Exception)
 ]
 
@@ -583,6 +583,33 @@ def test_exported_tuple_records_are_immutable(cls):
         with pytest.raises(AttributeError):
             setattr(record, field, 1)
     assert record == (None,) * len(cls._fields)
+
+
+def test_lazy_exports_are_the_defining_modules_objects():
+    for name in vcseffort.__all__:
+        value = getattr(vcseffort, name)
+        assert vars(sys.modules[value.__module__])[name] is value, name
+    assert set(vcseffort.__all__) <= set(dir(vcseffort))
+    namespace: dict = {}
+    exec("from vcseffort import *", namespace)
+    assert {name: namespace[name] for name in vcseffort.__all__} == {
+        name: getattr(vcseffort, name) for name in vcseffort.__all__
+    }
+    assert not hasattr(vcseffort, "nope")
+    # Each constant is defined once, in the package, and keeps its old module attribute.
+    assert vcseffort.calibration.SELECTION_POLICIES is vcseffort.SELECTION_POLICIES
+    assert vcseffort.calibration.SELECT_LOWER_MEDIAN is vcseffort.SELECT_LOWER_MEDIAN
+    assert vcseffort.stats.DEFAULT_CUTOFFS is vcseffort.DEFAULT_CUTOFFS
+
+
+def test_a_submodule_is_an_attribute_of_the_imported_package():
+    probe = "import vcseffort; print(vcseffort.synth.generate.__module__, vcseffort.ingest.__name__)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=os.path.dirname(vcseffort.__path__[0])),
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "vcseffort.synth vcseffort.ingest\n"
 
 
 @pytest.mark.parametrize("fmt, to_line", [("pipe", to_pipe_line), ("jsonl", to_jsonl_line)])

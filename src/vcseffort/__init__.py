@@ -44,7 +44,7 @@ _EXPORTS = {
     ),
     "stats": ("KsResult", "PopulationSummary", "ks_two_sample", "representativeness_table", "summarize"),
     "survey": ("SurveyLabel", "SurveyResponse", "load_survey", "triangulate"),
-    "synth": ("GroundTruth", "PopulationSpec", "SyntheticPopulation", "generate", "write_fixture"),
+    "synth": ("GroundTruth", "PopulationSpec", "SyntheticPopulation", "fixture_files", "generate"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -152,7 +152,8 @@ def resolve_config(args: argparse.Namespace, options: Registry) -> argparse.Name
 
 
 def _write_outputs(config: argparse.Namespace, files: dict[str, object], record: dict) -> None:
-    """Create ``--out``, write each file in order, then ``run.json``.
+    """Create ``--out``, write each file in order, then ``run.json``. The only writer: ``synth``
+    hands it the three files of ``synth.fixture_files``, which replaces ``write_fixture``.
 
     A non-string is written as JSON, dates as ``YYYY-MM-DD`` and tuples as arrays.
     """
@@ -334,7 +335,7 @@ def cmd_representativeness(config: argparse.Namespace) -> _Outcome:
 
 
 def cmd_synth(config: argparse.Namespace) -> _Outcome:
-    from .synth import PopulationSpec, generate, write_fixture
+    from .synth import PopulationSpec, fixture_files, generate
 
     spec = PopulationSpec(
         n_fulltime=config.fulltime,
@@ -346,17 +347,15 @@ def cmd_synth(config: argparse.Namespace) -> _Outcome:
     )
     population = generate(spec)
     anchor = config.anchor or date(2020, 1, 1)
-    paths = write_fixture(
-        population, config.out, anchor, config.period_months, config.log_format
-    )
+    files = fixture_files(population, anchor, config.period_months, config.log_format)
     total_commits = sum(population.counts.values())
     return (
-        {},
+        files,
         {
             "result": {
                 "developers": len(population.counts),
                 "commits": total_commits,
-                "files": {name: path.name for name, path in paths.items()},
+                "files": dict(zip(("log", "survey", "ground_truth"), files)),
                 "anchor": anchor,
             }
         },

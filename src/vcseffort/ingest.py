@@ -458,13 +458,9 @@ def read_repository_log(repo_path: str) -> list[str]:
     # Imported here, so that only --repo runs pay for loading it.
     import subprocess
 
+    # --no-show-signature: with log.showSignature set, git prints signature lines on stdout.
     command = [
-        "git",
-        "-C",
-        repo_path,
-        "log",
-        "--no-color",
-        "--encoding=UTF-8",
+        "git", "-C", repo_path, "log", "--no-color", "--no-show-signature", "--encoding=UTF-8",
         f"--pretty=format:{GIT_PRETTY_FORMAT}",
     ]
     try:

@@ -3,16 +3,17 @@
 Generated activity is skewed (discrete power law): full-timers draw from
 [theta_true, 10 * theta_true], everyone else from [1, theta_true - 1], so the
 planted threshold separates the two groups perfectly before label noise.
+
+``fixture_files`` replaces ``write_fixture`` and writes nothing: ``vcs-effort synth``
+writes the three files it returns, then ``run.json``, through the CLI's one writer.
 """
 
 from __future__ import annotations
 
-import json
 import random
 from bisect import bisect_left
 from datetime import date
 from itertools import accumulate
-from pathlib import Path
 from typing import NamedTuple
 
 from .activity import date_to_epoch, subtract_months
@@ -116,37 +117,11 @@ def generate(spec: PopulationSpec) -> SyntheticPopulation:
     return SyntheticPopulation(spec, counts, tuple(labels), ground_truth)
 
 
-def _fixture_records(
-    population: SyntheticPopulation, window_start: date, window_end: date
-) -> list[CommitRecord]:
-    start_epoch = date_to_epoch(window_start)
-    span = date_to_epoch(window_end) - start_epoch
-    records = []
-    for index, (developer_id, count) in enumerate(population.counts.items()):
-        name = f"Synth Dev {index:05d}"
-        for k in range(count):
-            # Spread commits evenly across the window, away from both edges.
-            timestamp = start_epoch + ((2 * k + 1) * span) // (2 * count)
-            records.append(
-                CommitRecord(
-                    hash=f"{index:06x}{k:08x}",
-                    author_name=name,
-                    author_email=developer_id,
-                    author_timestamp=timestamp,
-                    is_merge=False,
-                )
-            )
-    return records
-
-
-def write_fixture(
-    population: SyntheticPopulation,
-    out_dir: str | Path,
-    anchor: date,
-    period_months: int = 6,
-    log_format: str = "pipe",
-) -> dict[str, Path]:
-    """Materialize a population as a commit log, survey CSV, and ground-truth JSON.
+def fixture_files(
+    population: SyntheticPopulation, anchor: date, period_months: int = 6, log_format: str = "pipe"
+) -> dict[str, str | dict]:
+    """A population's fixture by file name, in write order: the log and survey CSV as text,
+    then the ground truth as a dict, which the CLI writes as JSON.
 
     Commits land inside [anchor - period_months, anchor); the survey is dated
     at the anchor, so calibrating on these files reproduces the generated
@@ -154,35 +129,31 @@ def write_fixture(
     """
     if log_format not in ("pipe", "jsonl"):
         raise GenerationError(f"unknown log format {log_format!r}")
-    window_start = subtract_months(anchor, period_months)
-    directory = Path(out_dir)
-    directory.mkdir(parents=True, exist_ok=True)
-    records = _fixture_records(population, window_start, anchor)
-
-    log_path = directory / ("commits.log" if log_format == "pipe" else "commits.jsonl")
+    start_epoch = date_to_epoch(subtract_months(anchor, period_months))
+    span = date_to_epoch(anchor) - start_epoch
     to_line = to_pipe_line if log_format == "pipe" else to_jsonl_line
-    with open(log_path, "w", encoding="utf-8") as handle:
-        for record in records:
-            handle.write(to_line(record) + "\n")
+    log = []
+    for index, (developer_id, count) in enumerate(population.counts.items()):
+        name = f"Synth Dev {index:05d}"
+        for k in range(count):
+            # Spread commits evenly across the window, away from both edges.
+            timestamp = start_epoch + ((2 * k + 1) * span) // (2 * count)
+            record = CommitRecord(f"{index:06x}{k:08x}", name, developer_id, timestamp)
+            log.append(to_line(record) + "\n")
 
-    survey_path = directory / "survey.csv"
-    with open(survey_path, "w", encoding="utf-8") as handle:
-        handle.write(",".join(SURVEY_HEADER) + "\n")
-        for label in population.labels:
-            self_class = "full" if label.label == LABEL_FULL else "part"
-            handle.write(
-                f"{label.developer_id},{self_class},,{anchor.isoformat()},\n"
-            )
+    survey = [",".join(SURVEY_HEADER) + "\n"]
+    for label in population.labels:
+        self_class = "full" if label.label == LABEL_FULL else "part"
+        survey.append(f"{label.developer_id},{self_class},,{anchor.isoformat()},\n")
 
-    truth_path = directory / "ground_truth.json"
-    truth = {
-        **population.ground_truth._asdict(),
-        "separating_range": population.ground_truth.separating_range(),
-        "seed": population.spec.seed,
-        "counts": population.counts,
+    truth = population.ground_truth
+    return {
+        "commits.log" if log_format == "pipe" else "commits.jsonl": "".join(log),
+        "survey.csv": "".join(survey),
+        "ground_truth.json": {
+            **truth._asdict(),
+            "separating_range": truth.separating_range(),
+            "seed": population.spec.seed,
+            "counts": population.counts,
+        },
     }
-    with open(truth_path, "w", encoding="utf-8") as handle:
-        json.dump(truth, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-    return {"log": log_path, "survey": survey_path, "ground_truth": truth_path}

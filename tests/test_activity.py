@@ -236,6 +236,8 @@ def test_period_spec_validation():
         aggregate({}, {}, PeriodSpec(3, "calendar"))
     with pytest.raises(ConfigError, match="metric"):
         aggregate({}, {}, PeriodSpec(), "lines-changed")
+    with pytest.raises(ConfigError, match="metric"):
+        activity_in_window({}, {}, date(2013, 1, 1), 6, metric="lines")
     with pytest.raises(ParameterError):
         activity_in_window({}, {}, date(2013, 1, 1), 0)
 

@@ -243,6 +243,59 @@ def test_missing_input_file_is_an_io_error(tmp_path, capsys):
     assert "cannot read" in err
 
 
+def test_repo_without_git_on_the_path_is_an_io_error(tmp_path, capsys, monkeypatch):
+    empty = tmp_path / "bin"
+    empty.mkdir()
+    monkeypatch.setenv("PATH", str(empty))
+    out = tmp_path / "out"
+    code, stdout, err = run(
+        ["estimate", "--repo", str(tmp_path), "--theta", "1", "--out", str(out)], capsys
+    )
+    assert (code, stdout, err) == (EXIT_IO, "", "error: git executable not found\n")
+    assert not out.exists()
+
+
+def test_survey_with_only_its_header_is_a_config_error(reference_inputs, tmp_path, capsys):
+    survey = tmp_path / "survey.csv"
+    survey.write_text("email,self_class,hours_bucket,survey_date,suspect\n", encoding="utf-8")
+    out = tmp_path / "out"
+    code, _, err = run(
+        ["calibrate", "--log", str(reference_inputs["log"]), "--survey", str(survey),
+         *REFERENCE_ARGS, "--out", str(out)],
+        capsys,
+    )
+    assert (code, err) == (EXIT_CONFIG, f"error: survey {survey} has no responses\n")
+    assert not out.exists()
+
+
+def test_estimate_with_every_commit_filtered_reports_zero_rows(tmp_path, capsys):
+    # Nothing is kept, so there is no error table: only the selected theta's error cell is set.
+    log = tmp_path / "bots.log"
+    log.write_text(
+        "a1|ci@example.org|CI Bot|1577836800|0\nb1|jenkins@example.org|Jenkins|1577836900|0\n",
+        encoding="utf-8",
+    )
+    reports = {}
+    for fmt, filename in (("csv", "report.csv"), ("markdown", "report.md"), ("json", "report.json")):
+        code, stdout, err = run(
+            ["estimate", "--log", str(log), "--bots", "default", "--theta", "2", "--theta-max", "3",
+             "--format", fmt, "--out", str(tmp_path / fmt)],
+            capsys,
+        )
+        assert (code, err) == (EXIT_OK, "")
+        assert "excluded 2 bot, 0 merge" in stdout
+        reports[fmt] = (tmp_path / fmt / filename).read_text(encoding="utf-8")
+    assert reports["csv"] == "theta,total_pm,error_vs_selected\n1,0.00,\n2,0.00,--\n3,0.00,\n"
+    assert reports["markdown"].splitlines()[2:5] == [
+        "| 1 | 0.00 |  |", "| 2 | 0.00 | -- |", "| 3 | 0.00 |  |",
+    ]
+    assert json.loads(reports["json"])["thresholds"] == [
+        {"theta": theta, "total_pm": "0.00", "per_period_pm": {},
+         "error_vs_selected": "--" if theta == 2 else ""}
+        for theta in (1, 2, 3)
+    ]
+
+
 def test_out_of_range_timestamp_is_a_malformed_line(reference_inputs, tmp_path, capsys):
     log = tmp_path / "late.log"
     log.write_text(
@@ -428,6 +481,8 @@ BAD_OPTION_VALUES = [
     ("malformed-tolerance", "2"),
     ("anchor", "2020-13-01"),
     ("cutoffs", "a,b"),
+    ("cutoffs", "-1"),
+    ("cutoffs", ","),
     ("exclude-merges", "maybe"),
     ("theta-max", "100001"),
 ]

@@ -406,6 +406,40 @@ def test_read_repository_log_flags_octopus_merges_and_keeps_pipes_in_names(tmp_p
     assert {c: (by_hash[h].author_name, by_hash[h].author_email) for c, h in hashes.items()} == authors
 
 
+@pytest.mark.skipif(
+    shutil.which("git") is None or shutil.which("ssh-keygen") is None,
+    reason="git or ssh-keygen not installed",
+)
+def test_read_repository_log_never_reads_signature_lines(tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+    key = tmp_path / "key"
+    subprocess.run(["ssh-keygen", "-q", "-t", "ed25519", "-N", "", "-f", str(key)],
+                   check=True, capture_output=True)
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=Test Dev", "-c", "user.email=test@example.org",
+             "-C", str(repo), *args],
+            check=True,
+            capture_output=True,
+        ).stdout.decode("utf-8")
+
+    git("init", "-q")
+    git("commit", "-q", "--allow-empty", "-m", "unsigned")
+    git("-c", "gpg.format=ssh", "-c", f"user.signingkey={key}.pub",
+        "commit", "-q", "--allow-empty", "-S", "-m", "signed")
+    git("config", "log.showSignature", "true")
+    # With the setting, a plain log prints the signed commit's signature check on stdout.
+    assert len(git("log", "--pretty=format:%H").splitlines()) > 2
+
+    lines = read_repository_log(str(repo))
+    assert len(lines) == 2
+    result = parse_log_stream(lines)
+    assert result.malformed == []
+    assert [record.author_email for record in result.records] == ["test@example.org"] * 2
+
+
 @pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
 def test_read_repository_log_keeps_line_breaks_in_author_names(tmp_path):
     repo = tmp_path / "repo"

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import hashlib
-import json
+import io
 import random
 from datetime import date
 
@@ -14,9 +14,9 @@ from vcseffort.activity import activity_in_window
 from vcseffort.calibration import confusion_at, metrics_at, select_theta, sweep
 from vcseffort.errors import GenerationError
 from vcseffort.identity import resolve_identities
-from vcseffort.ingest import parse_log_file
+from vcseffort.ingest import parse_log_stream
 from vcseffort.survey import LABEL_FULL, LABEL_NON_FULL, load_survey, triangulate
-from vcseffort.synth import PopulationSpec, _power_law_values, generate, write_fixture
+from vcseffort.synth import PopulationSpec, _power_law_values, fixture_files, generate
 
 ANCHOR = date(2020, 7, 1)
 
@@ -189,47 +189,50 @@ def test_edge_populations_match_their_frozen_digests(overrides, digest):
     assert hashlib.sha256(repr(tuple(population)).encode("utf-8")).hexdigest() == digest
 
 
-def test_write_fixture_round_trip(tmp_path):
+def test_fixture_files_round_trip(tmp_path):
     population = generate(spec(seed=21))
-    paths = write_fixture(population, tmp_path / "fix", ANCHOR, period_months=6)
+    files = fixture_files(population, ANCHOR, period_months=6)
+    assert list(files) == ["commits.log", "survey.csv", "ground_truth.json"]
 
-    result = parse_log_file(str(paths["log"]))
+    result = parse_log_stream(io.StringIO(files["commits.log"]))
     assert result.malformed == []
     assert len(result.records) == sum(population.counts.values())
     assignments, roster = resolve_identities(timelines(result.records))
     counts = activity_in_window(timelines(result.records), assignments, ANCHOR, 6)
     assert counts == population.counts
 
-    responses = load_survey(str(paths["survey"]))
-    labels, exclusions = triangulate(responses, roster)
+    survey = tmp_path / "survey.csv"
+    survey.write_text(files["survey.csv"], encoding="utf-8")
+    labels, exclusions = triangulate(load_survey(str(survey)), roster)
     assert exclusions == []
     assert {(l.developer_id, l.label) for l in labels} == {
         (l.developer_id, l.label) for l in population.labels
     }
 
-    truth = json.loads(paths["ground_truth"].read_text(encoding="utf-8"))
+    truth = files["ground_truth.json"]
     assert truth["theta_true"] == 10
     assert truth["counts"] == population.counts
-    assert truth["separating_range"] == list(population.ground_truth.separating_range())
+    assert truth["separating_range"] == population.ground_truth.separating_range()
 
 
-def test_write_fixture_jsonl(tmp_path):
+def test_fixture_files_jsonl():
     population = generate(spec(n_fulltime=3, n_other=5, seed=2))
-    paths = write_fixture(population, tmp_path, ANCHOR, log_format="jsonl")
-    result = parse_log_file(str(paths["log"]), fmt="jsonl")
+    files = fixture_files(population, ANCHOR, log_format="jsonl")
+    assert list(files) == ["commits.jsonl", "survey.csv", "ground_truth.json"]
+    result = parse_log_stream(io.StringIO(files["commits.jsonl"]), fmt="jsonl")
     assert result.malformed == []
     assert len(result.records) == sum(population.counts.values())
 
 
-def test_write_fixture_rejects_unknown_format(tmp_path):
+def test_fixture_files_rejects_unknown_format():
     with pytest.raises(GenerationError, match="format"):
-        write_fixture(generate(spec()), tmp_path, ANCHOR, log_format="csv")
+        fixture_files(generate(spec()), ANCHOR, log_format="csv")
 
 
-def test_commit_timestamps_stay_inside_window(tmp_path):
+def test_commit_timestamps_stay_inside_window():
     population = generate(spec(seed=9))
-    paths = write_fixture(population, tmp_path, ANCHOR, period_months=1)
-    records = parse_log_file(str(paths["log"])).records
+    files = fixture_files(population, ANCHOR, period_months=1)
+    records = parse_log_stream(io.StringIO(files["commits.log"])).records
     from vcseffort.activity import date_to_epoch, subtract_months
 
     start = date_to_epoch(subtract_months(ANCHOR, 1))

@@ -16,13 +16,19 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# The CLI parser records every option's default in run.json, so it needs these on
-# every run; calibration and stats import them from here.
+# The CLI parser's defaults and choices, which it records in run.json on every run, so
+# even --version needs them; activity, calibration, ingest and stats import them from here.
 SELECT_MIN = "min"
 SELECT_MAX = "max"
 SELECT_LOWER_MEDIAN = "lower-median"
 SELECTION_POLICIES = (SELECT_MIN, SELECT_MAX, SELECT_LOWER_MEDIAN)
 DEFAULT_CUTOFFS = (0, 1, 2, 3, 4, 5, 8, 11)
+METRIC_COMMITS = "commits"
+METRIC_ACTIVE_DAYS = "active-days"
+METRICS = (METRIC_COMMITS, METRIC_ACTIVE_DAYS)
+ALIGNMENT_CALENDAR = "calendar"
+ALIGNMENT_ROLLING = "rolling"
+DEFAULT_MALFORMED_TOLERANCE = 0.05
 
 _EXPORTS = {
     "activity": ("ActivityMatrix", "PeriodSpec", "activity_in_window", "aggregate", "subtract_months"),

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import calendar
 import csv
 import io
 from bisect import bisect_left, bisect_right
@@ -10,16 +9,19 @@ from datetime import date, datetime, timezone
 from itertools import chain, islice
 from typing import Mapping, NamedTuple, Sequence
 
+# The CLI's parser needs these names on every run, so they live in the package root.
+from . import ALIGNMENT_CALENDAR, ALIGNMENT_ROLLING, METRIC_ACTIVE_DAYS, METRIC_COMMITS, METRICS
 from .errors import ConfigError, ParameterError
 
-METRIC_COMMITS = "commits"
-METRIC_ACTIVE_DAYS = "active-days"
-METRICS = (METRIC_COMMITS, METRIC_ACTIVE_DAYS)
-
-ALIGNMENT_CALENDAR = "calendar"
-ALIGNMENT_ROLLING = "rolling"
-
 ACTIVITY_CSV_HEADER = ("developer_id", "period_label", "count")
+
+_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
+
+
+def _days_in_month(year: int, month: int) -> int:
+    if month == 2:
+        return 29 if year % 4 == 0 and (year % 100 != 0 or year % 400 == 0) else 28
+    return 30 if month in (4, 6, 9, 11) else 31
 
 
 def subtract_months(day: date, months: int) -> date:
@@ -29,13 +31,12 @@ def subtract_months(day: date, months: int) -> date:
     if year < 1:
         raise ParameterError(f"{months} months before {day.isoformat()} falls before year 1")
     month = month_index + 1
-    last_day = calendar.monthrange(year, month)[1]
-    return date(year, month, min(day.day, last_day))
+    return date(year, month, min(day.day, _days_in_month(year, month)))
 
 
 def date_to_epoch(day: date) -> int:
     """Midnight UTC at the start of the given day, as epoch seconds."""
-    return calendar.timegm(day.timetuple())
+    return (day.toordinal() - _EPOCH_ORDINAL) * 86400
 
 
 def epoch_to_utc_date(timestamp: int) -> date:

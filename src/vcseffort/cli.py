@@ -8,40 +8,30 @@ functions of the inputs and configuration.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
-from collections import Counter
-from contextlib import nullcontext
-from datetime import date
-from pathlib import Path
-from typing import Sequence
 
-# Only the layers that build_parser, main and _ingest use load here; each command
-# imports the rest, so a run loads only the layers its command executes.
-from . import DEFAULT_CUTOFFS, SELECT_LOWER_MEDIAN, SELECTION_POLICIES, __version__
-from .activity import (
+# Only what build_parser and main need loads here: --version, --help and a usage error
+# load no layer. Each function imports the layers and stdlib modules it uses, so a run
+# loads only what its command executes; perfbench/tracer.py times a layer by rebinding
+# the module attribute that such an import reads.
+from . import (
     ALIGNMENT_CALENDAR,
     ALIGNMENT_ROLLING,
+    DEFAULT_CUTOFFS,
+    DEFAULT_MALFORMED_TOLERANCE,
     METRIC_COMMITS,
     METRICS,
-    PeriodSpec,
-    activity_in_window,
-    aggregate,
+    SELECT_LOWER_MEDIAN,
+    SELECTION_POLICIES,
+    __version__,
 )
 from .errors import CalibrationError, ConfigError, IngestionError, VcsEffortError
-from .identity import AliasMap, load_alias_map, resolve_identities
-from .ingest import (
-    DEFAULT_BOT_PATTERNS,
-    DEFAULT_MALFORMED_TOLERANCE,
-    compile_bot_patterns,
-    drop_bots,
-    group_log_stream,
-    iso_date,
-    load_bot_patterns,
-    open_log,
-    read_repository_log,
-    setting_lines,
-)
+
+# For type checkers only: the annotations stay strings at run time, so these never load.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from datetime import date
+    from typing import Sequence
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -71,6 +61,8 @@ def _switch(text: str) -> bool:
 
 
 def _iso_date(text: str) -> date:
+    from .ingest import iso_date
+
     try:
         return iso_date(text)
     except ValueError:
@@ -113,6 +105,8 @@ def proportion(text: str) -> float:
 
 def read_config_file(path: str) -> dict[str, str]:
     """Read ``key = value`` lines; blank lines and #-comments are ignored."""
+    from .ingest import setting_lines
+
     options: dict[str, str] = {}
     for line_no, line in setting_lines(path, "config file"):
         key, separator, value = line.partition("=")
@@ -155,19 +149,43 @@ def _write_outputs(config: argparse.Namespace, files: dict[str, object], record:
     """Create ``--out``, write each file in order, then ``run.json``. The only writer: ``synth``
     hands it the three files of ``synth.fixture_files``, which replaces ``write_fixture``.
 
-    A non-string is written as JSON, dates as ``YYYY-MM-DD`` and tuples as arrays.
+    A non-string is written as JSON, dates as ``YYYY-MM-DD`` and tuples as arrays. A failed
+    write raises an ``OSError`` that names the directory or file it could not write.
     """
+    import json
+    from datetime import date
+    from pathlib import Path
+
     out = Path(config.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise OSError(f"cannot write output directory {out}: {exc}") from exc
     run = {"version": __version__, "command": config.command, "config": vars(config), **record}
     for name, content in {**files, "run.json": run}.items():
         if not isinstance(content, str):
             content = json.dumps(content, indent=2, sort_keys=True, default=date.isoformat) + "\n"
-        (out / name).write_text(content, encoding="utf-8")
+        try:
+            (out / name).write_text(content, encoding="utf-8")
+        except OSError as exc:
+            raise OSError(f"cannot write output file {out / name}: {exc}") from exc
 
 
 def _ingest(config: argparse.Namespace):
     """Kept timelines, their developer assignments and roster, and the ``ingest`` record."""
+    from contextlib import nullcontext
+
+    from .identity import AliasMap, load_alias_map, resolve_identities
+    from .ingest import (
+        DEFAULT_BOT_PATTERNS,
+        compile_bot_patterns,
+        drop_bots,
+        group_log_stream,
+        load_bot_patterns,
+        open_log,
+        read_repository_log,
+    )
+
     sources = [source for source in (config.log, config.commits, config.repo) if source]
     if len(sources) != 1:
         raise ConfigError("exactly one of --log, --commits, or --repo is required")
@@ -207,6 +225,7 @@ def _ingest(config: argparse.Namespace):
 
 def _survey_labels(config: argparse.Namespace, timelines, assignments, roster):
     """Survey labels, and each developer's activity in the window that ends at the survey."""
+    from .activity import activity_in_window
     from .survey import load_survey, triangulate
 
     responses = load_survey(config.survey)
@@ -222,6 +241,8 @@ def _survey_labels(config: argparse.Namespace, timelines, assignments, roster):
 
 
 def _calibrate_flow(config: argparse.Namespace, timelines, assignments, roster):
+    from collections import Counter
+
     from .calibration import select_theta, sweep
     from .survey import LABEL_FULL
 
@@ -259,7 +280,7 @@ def cmd_calibrate(config: argparse.Namespace) -> _Outcome:
 
 
 def cmd_estimate(config: argparse.Namespace) -> _Outcome:
-    # Imported per call: perfbench/tracer.py times these by rebinding the module's names.
+    from .activity import PeriodSpec, aggregate
     from .effort import (
         error_table,
         project_effort,
@@ -335,6 +356,8 @@ def cmd_representativeness(config: argparse.Namespace) -> _Outcome:
 
 
 def cmd_synth(config: argparse.Namespace) -> _Outcome:
+    from datetime import date
+
     from .synth import PopulationSpec, fixture_files, generate
 
     spec = PopulationSpec(

@@ -12,6 +12,7 @@ from datetime import date
 from functools import partial
 from typing import IO, Iterable, Iterator, NamedTuple
 
+from . import DEFAULT_MALFORMED_TOLERANCE
 from .errors import ConfigError, IngestionError
 
 # One record per line: hash|author_email|author_name|unix_timestamp|merge_flag.
@@ -21,8 +22,6 @@ PIPE_FIELD_COUNT = 5
 GIT_PRETTY_FORMAT = "%H|%ae|%an|%at|%P"
 
 DEFAULT_BOT_PATTERNS = (r"\bbot\b", "jenkins", "gerrit", "automation")
-
-DEFAULT_MALFORMED_TOLERANCE = 0.05
 
 # 9999-12-31T23:59:59Z, the last second a UTC date can represent.
 MAX_TIMESTAMP = 253402300799

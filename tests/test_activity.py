@@ -6,7 +6,7 @@ import csv
 import io
 import random
 from bisect import bisect_right
-from calendar import monthrange
+from calendar import monthrange, timegm
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
@@ -31,7 +31,7 @@ from vcseffort.activity import (
 )
 from vcseffort.errors import ConfigError, ParameterError
 from vcseffort.identity import resolve_identities
-from vcseffort.ingest import CommitRecord
+from vcseffort.ingest import MAX_TIMESTAMP, CommitRecord
 
 
 def ts(year, month, day, hour=12, minute=0, second=0) -> int:
@@ -53,6 +53,34 @@ def test_subtract_months_clamps_to_month_end():
     assert subtract_months(date(2013, 1, 15), 1) == date(2012, 12, 15)
     assert subtract_months(date(2013, 1, 15), 13) == date(2011, 12, 15)
     assert subtract_months(date(2013, 5, 1), 0) == date(2013, 5, 1)
+
+
+def test_date_helpers_match_the_calendar_module():
+    # The package computes from date.toordinal() and its own month lengths; the stdlib
+    # calendar module is the oracle, over both ends of date's range and 1900 and 2000.
+    for year in (*range(1, 31), *range(1890, 2111), *range(9970, 10000)):
+        for month in range(1, 13):
+            last = monthrange(year, month)[1]
+            for day in (1, 28, 29, 30, 31):
+                if day > last:
+                    continue
+                start = date(year, month, day)
+                assert date_to_epoch(start) == timegm(start.timetuple())
+                back_year, back_month = year, month
+                for months in range(26):
+                    if back_year < 1:
+                        with pytest.raises(ParameterError):
+                            subtract_months(start, months)
+                    else:
+                        clamped = min(day, monthrange(back_year, back_month)[1])
+                        assert subtract_months(start, months) == date(back_year, back_month, clamped)
+                    back_month -= 1
+                    if back_month == 0:
+                        back_year, back_month = back_year - 1, 12
+    # The last half-year ingest accepts starts on 9999-07-01 and ends after MAX_TIMESTAMP.
+    last_half = semester_index(date(9999, 12, 31))
+    assert _semester_start(last_half) == timegm(date(9999, 7, 1).timetuple())
+    assert _semester_start(last_half + 1) == MAX_TIMESTAMP + 1
 
 
 def test_semester_labels():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import errno
 import hashlib
 import json
 import os
@@ -16,7 +17,9 @@ from pathlib import Path
 
 import pytest
 
+import vcseffort
 from conftest import REFERENCE_ACTIVITIES, write_reference_inputs
+from vcseffort import activity, ingest
 from vcseffort.calibration import ThresholdMetrics, sweep
 from vcseffort.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from vcseffort.effort import error_table, report_payload, reports_for_thetas
@@ -253,6 +256,22 @@ def test_repo_without_git_on_the_path_is_an_io_error(tmp_path, capsys, monkeypat
     )
     assert (code, stdout, err) == (EXIT_IO, "", "error: git executable not found\n")
     assert not out.exists()
+
+
+def test_unwritable_out_names_the_directory_or_file(tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("", encoding="utf-8")
+    blocked = tmp_path / "blocked"
+    (blocked / "run.json").mkdir(parents=True)
+    for out, kind, failing, code in (
+        (taken, "directory", taken, errno.EEXIST),
+        (taken / "sub", "directory", taken / "sub", errno.ENOTDIR),
+        (blocked, "file", blocked / "run.json", errno.EISDIR),
+    ):
+        reason = OSError(code, os.strerror(code), str(failing))
+        assert run(["synth", "--fulltime", "1", "--other", "1", "--out", str(out)], capsys) == (
+            EXIT_IO, "", f"error: cannot write output {kind} {failing}: {reason}\n"
+        )
 
 
 def test_survey_with_only_its_header_is_a_config_error(reference_inputs, tmp_path, capsys):
@@ -574,12 +593,22 @@ print(code, *sorted(set(sys.modules) - before))
 """
 
 
+STDLIB_MODULES = ("subprocess", "json", "csv", "calendar")
+# Parsing arguments, --version, --help and a usage error run no layer.
+PARSER_PATH_UNUSED = (
+    "effort", "survey", "calibration", "stats", "synth", "ingest", "identity", "activity",
+    "json", "csv", "calendar",
+)
+
+
 @pytest.mark.parametrize(
     "command, unused",
     [
-        ("estimate", ("survey", "calibration", "stats", "synth", "subprocess")),
-        ("calibrate", ("effort", "stats", "synth", "subprocess")),
-        ("--version", ("effort", "survey", "calibration", "stats", "synth")),
+        ("estimate", ("survey", "calibration", "stats", "synth", "subprocess", "calendar")),
+        ("calibrate", ("effort", "stats", "synth", "subprocess", "calendar")),
+        ("--version", PARSER_PATH_UNUSED),
+        ("--help", PARSER_PATH_UNUSED),
+        ("estimate --theta 0", PARSER_PATH_UNUSED),
     ],
 )
 def test_each_command_loads_only_the_layers_it_runs(command, unused, reference_inputs, tmp_path):
@@ -588,8 +617,7 @@ def test_each_command_loads_only_the_layers_it_runs(command, unused, reference_i
                      "--theta-max", "13", "--out", str(tmp_path)],
         "calibrate": ["calibrate", "--log", str(reference_inputs["log"]),
                       "--survey", str(reference_inputs["survey"]), "--out", str(tmp_path)],
-        "--version": ["--version"],
-    }[command]
+    }.get(command, command.split())
     result = subprocess.run(
         [sys.executable, "-c", LOADED_MODULES_PROBE, *args],
         cwd=Path(__file__).resolve().parents[1],
@@ -597,10 +625,54 @@ def test_each_command_loads_only_the_layers_it_runs(command, unused, reference_i
         capture_output=True, text=True, check=True,
     )
     code, *added = result.stdout.splitlines()[-1].split()
-    assert code == "0", result.stderr
+    # argparse exits 2 on a usage error.
+    assert code == ("2" if command == "estimate --theta 0" else "0"), result.stderr
     assert "vcseffort.cli" in added
-    names = [name if name == "subprocess" else f"vcseffort.{name}" for name in unused]
+    names = [name if name in STDLIB_MODULES else f"vcseffort.{name}" for name in unused]
     assert sorted(set(names) & set(added)) == []
+
+
+def test_cli_import_loads_only_the_package_root_and_errors():
+    probe = (
+        "import sys; before = set(sys.modules); import vcseffort.cli; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=Path(__file__).resolve().parents[1],
+        env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, check=True,
+    )
+    added = set(result.stdout.split())
+    assert sorted(name for name in added if name.startswith("vcseffort")) == [
+        "vcseffort", "vcseffort.cli", "vcseffort.errors",
+    ]
+    assert sorted(added & {"json", "csv", "calendar"}) == []
+
+
+# sha256 of each --help text at 80 columns, as the parser printed it before its defaults
+# and choices moved to the package root.
+HELP_SHA256 = {
+    "": "401d88bb3492a7ca5982a0ab94b227ccc625eff3d4251e13731ef6964095e838",
+    "calibrate": "d9fe2e0f9e36c5b83917ab3f2d79bd2d1773ffa5b0a52b4dff257a2eb0430ed8",
+    "estimate": "9533ed2e519f345c427f1e8c64f5f3349cbb2052d68e9e9270daa55a1ae84f45",
+    "representativeness": "20927f45df81726bf11b956323c259d28bad47adae1d87faedab5a73bbe734a3",
+    "synth": "93ecedee7dd88607b2fe725f0a87c384cc429b7d7449c9fc37fb15a211133c37",
+}
+
+
+def test_parser_constants_have_one_source_and_the_help_text_is_unchanged(capsys, monkeypatch):
+    for name in ("METRIC_COMMITS", "METRIC_ACTIVE_DAYS", "METRICS", "ALIGNMENT_CALENDAR",
+                 "ALIGNMENT_ROLLING"):
+        assert getattr(activity, name) is getattr(vcseffort, name)
+    assert ingest.DEFAULT_MALFORMED_TOLERANCE is vcseffort.DEFAULT_MALFORMED_TOLERANCE
+
+    monkeypatch.setenv("COLUMNS", "80")
+    for command, digest in HELP_SHA256.items():
+        with pytest.raises(SystemExit) as exit_info:
+            main([*command.split(), "--help"])
+        assert exit_info.value.code == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest() == digest
 
 
 def test_config_file_cannot_name_another_config(tmp_path, capsys):

@@ -149,8 +149,9 @@ def _bucket(
     returns the number of commits at or after ``bounds[-1]``; commits before
     ``bounds[0]`` are dropped. An active day is a distinct UTC day,
     ``timestamp // 86400``. Each developer's sorted points are walked with
-    bisect, one step per window the developer is active in and, under
-    ``active-days``, one per active day: a window without activity costs nothing.
+    bisect, one step per window the developer is active in, and under
+    ``active-days`` a window's day numbers are collected into one set: a window
+    without activity costs nothing.
     """
     first, end = bounds[0], bounds[-1]
     overflow = 0
@@ -183,13 +184,9 @@ def _bucket(
             index = bisect_right(bounds, points[start]) - 1
             cut = bisect_left(points, bounds[index + 1], start, stop)
             if by_day:
-                count = 0
-                while start < cut:
-                    count += 1
-                    start = bisect_left(points, points[start] // 86400 * 86400 + 86400, start, cut)
+                row[index] = len({stamp // 86400 for stamp in points[start:cut]})
             else:
-                count = cut - start
-            row[index] = count
+                row[index] = cut - start
             start = cut
     return rows, overflow
 

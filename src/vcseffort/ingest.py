@@ -45,11 +45,12 @@ _new_record = partial(tuple.__new__, CommitRecord)
 # The decoder json.loads uses; raw_decode skips its BOM, whitespace and trailer checks.
 _raw_decode = json.JSONDecoder().raw_decode
 
-# The exact layout to_jsonl_line writes. A string here holds no quote, backslash or
-# control character, so each group is the very text json.loads would return for it.
+# The exact layout to_jsonl_line writes, with every string in printable ASCII other
+# than quote and backslash: no escape, control character, DEL or non-ASCII character.
+# Each group is then the very text json.loads would return for it, and valid UTF-8.
 _JSONL_LAYOUT = re.compile(
-    r'\{"author_email": "([^"\\\x00-\x1f]*)", "author_name": "([^"\\\x00-\x1f]*)", '
-    r'"author_timestamp": ([1-9][0-9]{0,11}), "hash": "([^"\\\x00-\x1f]+)", '
+    r'\{"author_email": "([ !#-\[\]-~]*)", "author_name": "([ !#-\[\]-~]*)", '
+    r'"author_timestamp": ([1-9][0-9]{0,11}), "hash": "([ !#-\[\]-~]+)", '
     r'"is_merge": (true|false)\}'
 )
 
@@ -229,9 +230,10 @@ def _scan(
     The common well-formed line is accepted inline, without the per-line parser:
     a pipe line of exactly five fields with a 1-12 digit ASCII timestamp and a
     ``0``/``1`` merge flag, or a JSON line in the exact layout ``to_jsonl_line``
-    writes with an ASCII name and email. Either also needs a non-empty email or
-    name and a timestamp in range. Every other line goes through the per-line
-    parser, so what is accepted and every reason are unchanged.
+    writes whose hash, name and email are printable ASCII other than ``"`` and
+    ``\\``. Either also needs a non-empty email or name and a timestamp in range.
+    Every other line, a non-ASCII or escaped author among them, goes through the
+    per-line parser, so what is accepted and every reason are unchanged.
     """
     try:
         parse_one = _LINE_PARSERS[fmt]
@@ -270,7 +272,7 @@ def _scan(
             match = jsonl_layout(line)
             if match:
                 email, name, stamp, commit_hash, flag = match.groups()
-                if (email or name) and name.isascii() and email.isascii():
+                if email or name:
                     timestamp = int(stamp)
                     is_merge = flag == "true"
         if not 0 < timestamp <= MAX_TIMESTAMP:

@@ -410,6 +410,61 @@ def test_rolling_active_days_match_date_oracle():
         )
 
 
+def test_active_days_at_day_edges_and_before_1970_match_date_oracle():
+    """500 commits in one UTC day, the seconds 86400·k − 1 and 86400·k, and negative
+    timestamps, each developer's commits split over two author pairs."""
+    day = 86400
+    k = date_to_epoch(date(2013, 3, 5)) // day
+    stamps = {
+        "one-day@x.org": [k * day + 3600 + 150 * i for i in range(500)],
+        "edges@x.org": [j * day + offset for j in (k - 40, k, k + 1) for offset in (-1, 0)],
+        "early@x.org": [j * day + offset for j in (-700, -1, 0, 1) for offset in (-1, 0, 1)],
+    }
+    commits = [
+        CommitRecord(f"{email}#{i}", f"Dev {i % 2}", email, stamp, False)
+        for email, points in stamps.items()
+        for i, stamp in enumerate(points)
+    ]
+    assignments = {(c.author_name, c.author_email): c.author_email for c in commits}
+    grouped = timelines(commits)
+
+    def semester_of(timestamp):
+        moment = epoch_to_utc_date(timestamp)
+        return f"{moment.year % 100:02d}s{1 if moment.month <= 6 else 2}"
+
+    matrix = aggregate(grouped, assignments, PeriodSpec(), METRIC_ACTIVE_DAYS)
+    _assert_matrix_equals(matrix, _day_oracle(commits, semester_of))
+    assert matrix.cell("one-day@x.org", "13s1") == 1
+
+    # The anchor is day k + 1, so 86400·(k + 1) overflows and 86400·(k + 1) − 1 does not.
+    anchor = date(2013, 3, 6)
+    for months in (1, 12):
+
+        def window_of(timestamp):
+            end = anchor
+            while date_to_epoch(end) > timestamp:
+                start = subtract_months(end, months)
+                if _window_contains(start, end, timestamp):
+                    return start.isoformat()
+                end = start
+            return None
+
+        spec = PeriodSpec(months, "rolling", anchor)
+        matrix = aggregate(grouped, assignments, spec, METRIC_ACTIVE_DAYS)
+        _assert_matrix_equals(matrix, _day_oracle(commits, window_of))
+        assert matrix.overflow_commits == 1
+
+    for end, months in ((anchor, 1), (date(1970, 1, 2), 24), (date(1970, 1, 1), 1)):
+        start_epoch = date_to_epoch(subtract_months(end, months))
+        end_epoch = date_to_epoch(end)
+        expected: dict[str, set[date]] = {}
+        for c in commits:
+            if start_epoch <= c.author_timestamp < end_epoch:
+                expected.setdefault(c.author_email, set()).add(epoch_to_utc_date(c.author_timestamp))
+        found = activity_in_window(grouped, assignments, end, months, METRIC_ACTIVE_DAYS)
+        assert found == {email: len(days) for email, days in expected.items()}
+
+
 def test_activity_in_window_matches_interval_oracle():
     rng = random.Random(9090)
     for _ in range(40):

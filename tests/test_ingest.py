@@ -990,6 +990,50 @@ def test_jsonl_lines_in_the_written_layout_match_the_json_loads_procedure():
             "timestamp"} <= reasons
 
 
+def test_every_ascii_and_some_other_characters_in_the_written_layout_match_json_loads():
+    """Each character raw in a name, an email and a hash of to_jsonl_line's layout, and
+    escaped by to_jsonl_line itself: the records, timelines and reasons of json.loads."""
+    characters = [chr(code) for code in range(0x80)]
+    characters += ["é", "ħ", "\u2028", "\ufeff", "\U0001f600", "\ud800"]
+    layout = (
+        '{{"author_email": "{2}", "author_name": "{1}", "author_timestamp": {3}, '
+        '"hash": "{0}", "is_merge": false}}'
+    )
+    lines = []
+    for serial, char in enumerate(characters):
+        stamp = 1_600_000_000 + serial
+        for record in (
+            CommitRecord(f"n{serial}", f"A{char}z", "a@b.c", stamp),
+            CommitRecord(f"e{serial}", "Ada", f"a{char}@b.c", stamp),
+            CommitRecord(f"h{char}{serial}", "Ada", "a@b.c", stamp),
+            CommitRecord(f"o{serial}", char, "", stamp),
+        ):
+            lines.append(layout.format(*record))
+            lines.append(to_jsonl_line(record._replace(hash=record.hash + "-escaped")))
+    expected_records, expected_malformed = _reference_jsonl_stream(lines)
+    records, malformed = parse_log_stream(lines, "jsonl", 1.0)
+    assert records == expected_records
+    assert [(m.line_no, m.line, m.reason) for m in malformed] == expected_malformed
+    grouped = group_log_stream(lines, "jsonl", 1.0)
+    assert (grouped.parsed, grouped.malformed) == (len(records), malformed)
+    assert drop_bots(grouped.timelines, grouped.merged, []) == apply_filters(
+        expected_records, FilterConfig()
+    )
+    # Both sides of each range edge: 0x1f/0x20, 0x21/0x22/0x23, 0x5b/0x5c/0x5d, 0x7e/0x7f.
+    kept = {record.hash for record in records}
+    in_name = {char for serial, char in enumerate(characters) if f"n{serial}" in kept}
+    printable = {chr(code) for code in range(0x20, 0x7f)} - {'"', "\\"}
+    assert in_name == printable | {"\x7f", "é", "ħ", "\u2028", "\ufeff", "\U0001f600"}
+    # The inline fast path takes printable ASCII other than quote and backslash; every
+    # other character goes to the per-line parser.
+    fast = {
+        char
+        for char in characters
+        if ingest._JSONL_LAYOUT.fullmatch(layout.format(f"h{char}", char, char, 1))
+    }
+    assert fast == printable
+
+
 def test_non_integer_timestamp_reason_shows_at_most_20_characters():
     fields = ["9" * 5000 + "x", "x" * 20, "x" * 21]
     lines = [f"h{i}|a@b|A|{field}|0" for i, field in enumerate(fields)]

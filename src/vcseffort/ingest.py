@@ -5,11 +5,11 @@ from __future__ import annotations
 import csv
 import json
 import re
-import sys
 from collections import defaultdict
 from contextlib import AbstractContextManager, contextmanager
 from datetime import date
 from functools import partial
+from itertools import chain
 from typing import IO, Iterable, Iterator, NamedTuple
 
 from . import DEFAULT_MALFORMED_TOLERANCE
@@ -45,14 +45,16 @@ _new_record = partial(tuple.__new__, CommitRecord)
 # The decoder json.loads uses; raw_decode skips its BOM, whitespace and trailer checks.
 _raw_decode = json.JSONDecoder().raw_decode
 
-# The exact layout to_jsonl_line writes, with every string in printable ASCII other
-# than quote and backslash: no escape, control character, DEL or non-ASCII character.
-# Each group is then the very text json.loads would return for it, and valid UTF-8.
+# The exact layout to_jsonl_line writes, over a line's bytes, with every string in
+# printable ASCII other than quote and backslash: no escape, control character, DEL or
+# non-ASCII byte. Each group's bytes then spell the very text json.loads would return.
 _JSONL_LAYOUT = re.compile(
-    r'\{"author_email": "([ !#-\[\]-~]*)", "author_name": "([ !#-\[\]-~]*)", '
-    r'"author_timestamp": ([1-9][0-9]{0,11}), "hash": "([ !#-\[\]-~]+)", '
-    r'"is_merge": (true|false)\}'
+    rb'\{"author_email": "([ !#-\[\]-~]*)", "author_name": "([ !#-\[\]-~]*)", '
+    rb'"author_timestamp": ([1-9][0-9]{0,11}), "hash": "([ !#-\[\]-~]+)", '
+    rb'"is_merge": (true|false)\}'
 )
+
+_UTF8_BOM = b"\xef\xbb\xbf"
 
 
 class MalformedLine(NamedTuple):
@@ -76,10 +78,13 @@ class FilterConfig(NamedTuple):
 
 
 @contextmanager
-def open_input(path: str, what: str, **open_options) -> Iterator[IO[str]]:
-    """Open a UTF-8 text input, BOM dropped; a read failure raises ``IngestionError``."""
+def open_input(
+    path: str, what: str, mode: str = "r", encoding: str | None = "utf-8-sig", **open_options
+) -> Iterator[IO]:
+    """Open an input, by default as UTF-8 text with its BOM dropped; a read failure
+    raises ``IngestionError``."""
     try:
-        with open(path, encoding="utf-8-sig", **open_options) as handle:
+        with open(path, mode, encoding=encoding, **open_options) as handle:
             yield handle
     except (OSError, UnicodeDecodeError, csv.Error) as exc:
         raise IngestionError(f"cannot read {what} {path}: {exc}") from exc
@@ -207,8 +212,19 @@ def _parse_jsonl_line(line: str) -> tuple[str, str, str, int, bool]:
 _LINE_PARSERS = {"pipe": _parse_pipe_line, "jsonl": _parse_jsonl_line}
 
 
+class _Decoded(dict):
+    """Raw names and emails mapped to their text, each decoded once when first looked up."""
+
+    def __init__(self, errors: str) -> None:
+        self.errors = errors
+
+    def __missing__(self, raw: bytes) -> str:
+        text = self[raw] = raw.decode("utf-8", self.errors)
+        return text
+
+
 def _scan(
-    lines: Iterable[str],
+    lines: Iterable[str] | Iterable[bytes],
     fmt: str,
     malformed_tolerance: float,
     records: list[CommitRecord] | None,
@@ -218,9 +234,20 @@ def _scan(
     """The one parse loop: returns (accepted commits, malformed lines).
 
     With ``records`` given, each accepted commit is appended to it as a
-    ``CommitRecord`` with interned author strings. Otherwise it goes straight
-    into its author pair's entry: ``merged[name, email] += 1`` for a merge when
-    ``merged`` is given, else ``timelines[name, email].append(timestamp)``.
+    ``CommitRecord``. Otherwise it goes into its author pair's entry:
+    ``merged[name, email] += 1`` for a merge when ``merged`` is given, else
+    ``timelines[name, email].append(timestamp)``.
+
+    The log stays bytes until a value leaves ingest. ``lines`` are a log's byte
+    lines, as ``open_log`` yields them, read as UTF-8 with replacement and a BOM
+    opening line 1 dropped; or text lines, each encoded with ``"surrogatepass"``
+    and decoded back with it, an exact round trip. Entries are keyed by raw
+    (name, email) bytes, and each distinct pair is decoded once when the scan
+    ends; records decode each distinct raw name and email once, so the records
+    of one author share their two strings. A rejected or unusual line is decoded
+    and handed to the per-line parser, whose fields are encoded back for the
+    keys. So every result is that of a scan over the decoded text: pairs whose
+    bytes decode alike are one pair, in the place of its first appearance.
 
     Blank lines carry no commit and are skipped without counting as malformed.
     Duplicate hashes keep the first occurrence. If the malformed fraction of
@@ -228,12 +255,13 @@ def _scan(
     once the stream ends.
 
     The common well-formed line is accepted inline, without the per-line parser:
-    a pipe line of exactly five fields with a 1-12 digit ASCII timestamp and a
-    ``0``/``1`` merge flag, or a JSON line in the exact layout ``to_jsonl_line``
-    writes whose hash, name and email are printable ASCII other than ``"`` and
-    ``\\``. Either also needs a non-empty email or name and a timestamp in range.
-    Every other line, a non-ASCII or escaped author among them, goes through the
-    per-line parser, so what is accepted and every reason are unchanged.
+    a pipe line of exactly five fields with an ASCII hash, a 1-12 digit ASCII
+    timestamp and a ``0``/``1`` merge flag, or a JSON line in the exact layout
+    ``to_jsonl_line`` writes whose hash, name and email are printable ASCII other
+    than ``"`` and ``\\``. Either also needs a non-empty email or name and a
+    timestamp in range. Every other line, an escaped JSON author or a non-ASCII
+    hash among them, goes through the per-line parser, so what is accepted and
+    every reason are unchanged.
     """
     try:
         parse_one = _LINE_PARSERS[fmt]
@@ -242,84 +270,116 @@ def _scan(
     if not 0.0 <= malformed_tolerance <= 1.0:
         raise ConfigError(f"malformed tolerance must be in [0, 1], got {malformed_tolerance}")
 
+    lines = iter(lines)
+    first = next(lines, b"")
+    if isinstance(first, str):
+        errors = "surrogatepass"
+        lines = (line.encode("utf-8", errors) for line in chain((first,), lines))
+    else:
+        errors = "replace"
+        lines = chain((first.removeprefix(_UTF8_BOM),), lines)
+    decoded = _Decoded(errors)
     malformed: list[MalformedLine] = []
-    seen_hashes: set[str] = set()
+    seen_hashes: set[bytes] | set[str] = set()
     pipe = fmt == "pipe"
     jsonl_layout = _JSONL_LAYOUT.fullmatch
-    intern = sys.intern
     keep_records = records is not None
     exclude_merges = merged is not None
+    raw_timelines: defaultdict[tuple[bytes, bytes], list[int]] = defaultdict(list)
+    raw_merged: defaultdict[tuple[bytes, bytes], int] = defaultdict(int)
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
+        line = raw.rstrip(b"\r\n")
         # Fast path: a timestamp stays 0 unless the line passes these checks, and
-        # no int() here sees more than 12 digits.
+        # no int() here sees more than 12 digits. bytes.isdigit() is ASCII-only.
+        # An ASCII hash is its own text, so equal texts are equal keys.
         timestamp = 0
         if pipe:
-            fields = line.split("|")
+            fields = line.split(b"|")
             if len(fields) == PIPE_FIELD_COUNT:
                 commit_hash, email, name, stamp, flag = fields
                 if (
                     commit_hash
                     and (email or name)
-                    and (flag == "0" or flag == "1")
+                    and (flag == b"0" or flag == b"1")
                     and len(stamp) <= 12
-                    and stamp.isascii()
                     and stamp.isdigit()
+                    and commit_hash.isascii()
                 ):
                     timestamp = int(stamp)
-                    is_merge = flag == "1"
+                    is_merge = flag == b"1"
         else:
             match = jsonl_layout(line)
             if match:
                 email, name, stamp, commit_hash, flag = match.groups()
                 if email or name:
                     timestamp = int(stamp)
-                    is_merge = flag == "true"
+                    is_merge = flag == b"true"
         if not 0 < timestamp <= MAX_TIMESTAMP:
-            if not line.strip():
+            text = line.decode("utf-8", errors)
+            if not text.strip():
                 continue
             try:
-                commit_hash, name, email, timestamp, is_merge = parse_one(line)
+                hash_text, name_text, email_text, timestamp, is_merge = parse_one(text)
             except ValueError as exc:
-                malformed.append(MalformedLine(line_no, line, str(exc)))
+                malformed.append(MalformedLine(line_no, text, str(exc)))
                 continue
+            # Keys are the text's UTF-8 bytes; surrogatepass keeps a JSON hash's
+            # escaped lone surrogate apart from every other hash.
+            commit_hash = hash_text.encode("utf-8", "surrogatepass")
+            name = name_text.encode("utf-8", "surrogatepass")
+            email = email_text.encode("utf-8", "surrogatepass")
+        if keep_records:
+            # Decoded before the dedupe, so the set holds the record's own string.
+            commit_hash = commit_hash.decode("utf-8", "surrogatepass")
         if commit_hash in seen_hashes:
-            malformed.append(MalformedLine(line_no, line, f"duplicate hash {commit_hash!r}"))
+            shown = commit_hash if keep_records else commit_hash.decode("utf-8", "surrogatepass")
+            reason = f"duplicate hash {shown!r}"
+            malformed.append(MalformedLine(line_no, line.decode("utf-8", errors), reason))
             continue
         seen_hashes.add(commit_hash)
         if keep_records:
-            # Interned: every record of one author shares its name and email strings.
             records.append(
-                _new_record((commit_hash, intern(name), intern(email), timestamp, is_merge))
+                _new_record((commit_hash, decoded[name], decoded[email], timestamp, is_merge))
             )
         elif is_merge and exclude_merges:
-            merged[name, email] += 1
+            raw_merged[name, email] += 1
         else:
-            timelines[name, email].append(timestamp)
+            raw_timelines[name, email].append(timestamp)
 
     # Every non-blank line was accepted once or is a malformed line.
-    total = len(seen_hashes) + len(malformed)
+    parsed = len(seen_hashes)
+    total = parsed + len(malformed)
     if total and len(malformed) / total > malformed_tolerance:
         preview = "; ".join(f"line {m.line_no}: {m.reason}" for m in malformed[:5])
         raise IngestionError(
             f"{len(malformed)} of {total} lines malformed, exceeding tolerance "
             f"{malformed_tolerance:.1%}: {preview}"
         )
-    return len(seen_hashes), malformed
+    del seen_hashes  # freed before the pairs are decoded, which lowers the peak
+
+    # Each distinct pair decoded once; raw pairs that decode alike are one pair.
+    for (name, email), stamps in raw_timelines.items():
+        kept = timelines.setdefault((decoded[name], decoded[email]), stamps)
+        if kept is not stamps:
+            kept += stamps
+    for (name, email), count in raw_merged.items():
+        merged[decoded[name], decoded[email]] += count
+    return parsed, malformed
 
 
 def parse_log_stream(
-    lines: Iterable[str],
+    lines: Iterable[str] | Iterable[bytes],
     fmt: str = "pipe",
     malformed_tolerance: float = DEFAULT_MALFORMED_TOLERANCE,
 ) -> ParseResult:
-    """Parse a commit log stream into records plus a malformed-line report.
+    """Parse a commit log stream, text lines or ``open_log``'s byte lines, into records
+    plus a malformed-line report.
 
     Blank lines carry no record and are skipped without counting as malformed.
     Duplicate hashes keep the first occurrence. If the malformed fraction of
     non-blank lines exceeds ``malformed_tolerance`` the whole ingest aborts with
-    ``IngestionError``. Author names and emails are interned, so the records of
-    one author share their two strings.
+    ``IngestionError``. Each distinct author name and email is decoded once, so
+    the records of one author share their two strings.
     """
     records: list[CommitRecord] = []
     _, malformed = _scan(lines, fmt, malformed_tolerance, records, None, None)
@@ -336,7 +396,7 @@ class GroupedLog(NamedTuple):
 
 
 def group_log_stream(
-    lines: Iterable[str],
+    lines: Iterable[str] | Iterable[bytes],
     fmt: str = "pipe",
     malformed_tolerance: float = DEFAULT_MALFORMED_TOLERANCE,
     exclude_merges: bool = False,
@@ -356,10 +416,16 @@ def group_log_stream(
     return GroupedLog(timelines, merged, parsed, malformed)
 
 
-def open_log(path: str) -> AbstractContextManager[IO[str]]:
-    """Open a commit log file. As in ``read_repository_log``, records end at a line feed
-    only, so a name keeps a carriage return; CRLF line ends still work."""
-    return open_input(path, "commit log", errors="replace", newline="\n")
+def open_log(path: str) -> AbstractContextManager[IO[bytes]]:
+    """Open a commit log file for ``parse_log_stream`` or ``group_log_stream``, in binary.
+
+    The log stays bytes until a value leaves ingest: the scan decodes once per
+    distinct author pair and once per rejected line, and its results are those of
+    reading the file as UTF-8 with replacement, a BOM dropped. As in
+    ``read_repository_log``, records end at a line feed only, so a name keeps a
+    carriage return; CRLF line ends still work.
+    """
+    return open_input(path, "commit log", "rb", encoding=None)
 
 
 def parse_log_file(
@@ -453,8 +519,11 @@ def read_repository_log(repo_path: str) -> list[str]:
     The merge flag is derived from the parent count of each commit; author
     timestamps are epoch seconds and therefore timezone-free. The log is read
     as UTF-8 whatever the repository's output encoding, and undecodable bytes
-    are replaced, as in ``parse_log_file``. Records end at a line feed only,
-    so an author name keeps any carriage return, form feed or line separator.
+    are replaced, so the lines give the results ``parse_log_file`` gives for
+    the same bytes in a file. The lines are text; the scan encodes each back to
+    bytes exactly, and decodes once per distinct author pair and once per
+    rejected line. Records end at a line feed only, so an author name keeps any
+    carriage return, form feed or line separator.
     """
     # Imported here, so that only --repo runs pay for loading it.
     import subprocess

@@ -1025,11 +1025,14 @@ def test_every_ascii_and_some_other_characters_in_the_written_layout_match_json_
     printable = {chr(code) for code in range(0x20, 0x7f)} - {'"', "\\"}
     assert in_name == printable | {"\x7f", "é", "ħ", "\u2028", "\ufeff", "\U0001f600"}
     # The inline fast path takes printable ASCII other than quote and backslash; every
-    # other character goes to the per-line parser.
+    # other character goes to the per-line parser. The layout matches a line's bytes,
+    # and text lines reach it encoded as the scan encodes them.
     fast = {
         char
         for char in characters
-        if ingest._JSONL_LAYOUT.fullmatch(layout.format(f"h{char}", char, char, 1))
+        if ingest._JSONL_LAYOUT.fullmatch(
+            layout.format(f"h{char}", char, char, 1).encode("utf-8", "surrogatepass")
+        )
     }
     assert fast == printable
 
@@ -1162,6 +1165,111 @@ def test_streamed_grouping_matches_records_through_apply_filters(fmt, tmp_path):
             with pytest.raises(IngestionError) as streamed:
                 group_log_stream(lines, fmt, 0.05, True)
             assert str(streamed.value) == str(library.value)
+
+
+_JSONL_BYTES_LAYOUT = (
+    b'{"author_email": "%s", "author_name": "%s", "author_timestamp": %d, "hash": "%s", '
+    b'"is_merge": %s}'
+)
+
+
+def _byte_log_line(fmt: str, commit_hash: bytes, name: bytes, email: bytes, stamp: int,
+                   is_merge: bool) -> bytes:
+    """One line in the layout the fast paths take, with the fields' raw bytes."""
+    if fmt == "pipe":
+        return b"%s|%s|%s|%d|%d" % (commit_hash, email, name, stamp, is_merge)
+    return _JSONL_BYTES_LAYOUT % (email, name, stamp, commit_hash, b"true" if is_merge else b"false")
+
+
+def _messy_log_bytes(rng: random.Random, fmt: str, n: int) -> bytes:
+    """A seeded byte log: invalid and truncated UTF-8, surrogate bytes, BOMs, CR, NUL and
+    text-only whitespace, around lines planted in every log."""
+    planted = [
+        # Two hashes, and then two names, that differ only in invalid bytes: as text
+        # the second hash is a duplicate and the two names are one pair.
+        (b"dup\xff", b"Dup", b"d@x.y"), (b"dup\xfe", b"Dup", b"d@x.y"),
+        (b"same1", b"M\xff", b"m@x.y"), (b"same2", b"M\xfe", b"m@x.y"),
+        (b"h\xc3\xa9", b"\xc3\xa9", b"e@x.y"),  # a valid non-ASCII hash
+        (b"\xed\xa0\x80s", b"\xed\xa0\x80", b"s\xed\xa0\x80@x.y"),
+        (b"trunc", b"T\xe2\x82", b"t@x.y"),
+        (b"nul\x00", b"N\x00ul", b"n@x.y"),
+        (b"cr", b"C\rr", b"c@x.y"),
+    ]
+    lines = [_byte_log_line(fmt, h, nm, em, 1_600_000_000 + i, i % 2 == 1)
+             for i, (h, nm, em) in enumerate(planted)]
+    lines += [b"", b"\x1c", b"\xc2\xa0", b"\xe2\x80\xa8", b" \r", b"\xff", b"\x00"]
+    names = [b"Ada", b"Zo\xc3\xab", b"A\xff", b"A\xfe", b"\xed\xa0\x80", b"x\xe2\x82", b"",
+             b"bot \xff", b"\xef\xbb\xbfB"]
+    emails = [b"a@x.y", b"", b"\xc3\xa9@x.y", b"e\xff@x.y", b"ci@bot.org"]
+    hashes = [b"h%d" % k for k in range(n // 2)] + [b"\xff", b"\xfe", b"h\xc3\xa9", b"\xe2\x82"]
+    if fmt == "jsonl":
+        names += [b"Zo\\u00eb", b"\\ud800", b"q\\\"t", b"nul\x00"]
+        hashes += [b"\\ud800", b"\\u00e9"]
+    for _ in range(n):
+        line = _byte_log_line(fmt, rng.choice(hashes), rng.choice(names), rng.choice(emails),
+                              rng.randrange(1, 2 * 10**9), rng.random() < 0.3)
+        if rng.random() < 0.15:
+            at = rng.randrange(len(line) + 1)
+            line = line[:at] + rng.choice([b"\xff", b"\xe2\x82", b"\xed\xa0\x80", b"\x00", b"\r",
+                                           b"\xef\xbb\xbf", b"|", b'"']) + line[at:]
+        lines.append(line)
+    rng.shuffle(lines)
+    # A line cut inside a multi-byte sequence, and a BOM on a line of its own.
+    lines.insert(rng.randrange(len(lines) + 1), lines[0] + b"\xe2\x82")
+    lines.insert(rng.randrange(1, len(lines) + 1), b"\xef\xbb\xbf" + lines[0])
+    if rng.random() < 0.5:
+        lines[0] = b"\xef\xbb\xbf" + lines[0]
+    endings = [b"\n", b"\r\n", b"\r\r\n"]
+    data = b"".join(line + rng.choice(endings) for line in lines)
+    return data if rng.random() < 0.5 else data.rstrip(b"\r\n")
+
+
+@pytest.mark.parametrize("fmt", ["pipe", "jsonl"])
+def test_byte_logs_give_the_results_of_their_decoded_text(fmt, tmp_path):
+    """The scan over a log's bytes against the reference read of the file decoded as
+    UTF-8 with replacement; and over text lines, lone surrogates included."""
+    reference = _reference_pipe_stream if fmt == "pipe" else _reference_jsonl_stream
+    rng = random.Random(29)
+    path = tmp_path / "log"
+    reasons, merged_pairs = set(), 0
+    for _ in range(30):
+        data = _messy_log_bytes(rng, fmt, 120)
+        path.write_bytes(data)
+        with open(path, encoding="utf-8-sig", errors="replace", newline="\n") as handle:
+            expected_records, expected_malformed = reference(handle)
+        records, malformed = parse_log_file(str(path), fmt, 1.0)
+        assert records == expected_records
+        assert [(m.line_no, m.line, m.reason) for m in malformed] == expected_malformed
+        for patterns in ((), DEFAULT_BOT_PATTERNS):
+            for exclude_merges in (False, True):
+                with open_log(str(path)) as handle:
+                    timelines, merged, parsed, grouped_malformed = group_log_stream(
+                        handle, fmt, 1.0, exclude_merges
+                    )
+                got = drop_bots(timelines, merged, compile_bot_patterns(patterns))
+                expected = apply_filters(expected_records, FilterConfig(patterns, exclude_merges))
+                assert got == expected
+                assert list(got[0]) == list(expected[0])
+                assert (parsed, grouped_malformed) == (len(records), malformed)
+        reasons.update(reason for _, _, reason in expected_malformed)
+        merged_pairs += {"same1", "same2"} <= {
+            r.hash for r in expected_records if r[1:3] == ("M\ufffd", "m@x.y")
+        }
+
+        # Text lines: invalid bytes as lone surrogates, and a surrogate's bytes as itself.
+        text = data.decode("utf-8", "surrogateescape").replace("\udced\udca0\udc80", "\ud800")
+        lines = text.split("\n")
+        expected_records, expected_malformed = reference(lines)
+        records, malformed = parse_log_stream(lines, fmt, 1.0)
+        assert records == expected_records
+        assert [(m.line_no, m.line, m.reason) for m in malformed] == expected_malformed
+        timelines, merged, parsed, grouped_malformed = group_log_stream(lines, fmt, 1.0)
+        assert drop_bots(timelines, merged, []) == apply_filters(records, FilterConfig())
+        assert (parsed, grouped_malformed) == (len(records), malformed)
+        assert any("\udcff" in r.hash for r in records)
+    # The planted lines reached the text-level verdicts they are there for.
+    assert "duplicate hash 'dup\ufffd'" in reasons
+    assert merged_pairs == 30
 
 
 def seeded_log(n: int, fmt: str) -> list[str]:

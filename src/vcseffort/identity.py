@@ -50,6 +50,9 @@ def load_alias_map(path: str) -> AliasMap:
 
 def normalize_name(name: str) -> str:
     """Lowercase, collapse internal whitespace, and strip diacritics."""
+    if name.isascii():
+        # NFKD leaves ASCII as it is, and no ASCII character is combining.
+        return " ".join(name.lower().split())
     decomposed = unicodedata.normalize("NFKD", name)
     stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
     return " ".join(stripped.lower().split())

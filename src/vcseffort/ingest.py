@@ -47,11 +47,16 @@ _raw_decode = json.JSONDecoder().raw_decode
 
 # The exact layout to_jsonl_line writes, over a line's bytes, with every string in
 # printable ASCII other than quote and backslash: no escape, control character, DEL or
-# non-ASCII byte. Each group's bytes then spell the very text json.loads would return.
+# non-ASCII byte. Each field's bytes then spell the very text json.loads would return.
+# The first group is the author span from the email to the name, ``email`` then
+# ``_GLUE`` then ``name``, and is the line's key; an email without a quote splits back
+# at its one ``_GLUE``. The trailing class takes the line's end, CRLF or LF: ``}`` is
+# neither byte, so this matches exactly the lines that match after rstrip(b"\r\n").
+_GLUE = b'", "author_name": "'
 _JSONL_LAYOUT = re.compile(
-    rb'\{"author_email": "([ !#-\[\]-~]*)", "author_name": "([ !#-\[\]-~]*)", '
+    rb'\{"author_email": "([ !#-\[\]-~]*", "author_name": "[ !#-\[\]-~]*)", '
     rb'"author_timestamp": ([1-9][0-9]{0,11}), "hash": "([ !#-\[\]-~]+)", '
-    rb'"is_merge": (true|false)\}'
+    rb'"is_merge": (true|false)\}[\r\n]*'
 )
 
 _UTF8_BOM = b"\xef\xbb\xbf"
@@ -223,6 +228,17 @@ class _Decoded(dict):
         return text
 
 
+def _author_text(key: bytes | tuple[bytes, bytes], decoded: _Decoded) -> tuple[str, str]:
+    """The (name, email) text of a raw author key: a (name, email) pair of bytes, or a
+    JSON email-to-name span, the email, ``_GLUE``, then the name, for an email without
+    a quote."""
+    if type(key) is bytes:
+        email, _, name = key.partition(_GLUE)
+    else:
+        name, email = key
+    return decoded[name], decoded[email]
+
+
 def _scan(
     lines: Iterable[str] | Iterable[bytes],
     fmt: str,
@@ -242,12 +258,15 @@ def _scan(
     lines, as ``open_log`` yields them, read as UTF-8 with replacement and a BOM
     opening line 1 dropped; or text lines, each encoded with ``"surrogatepass"``
     and decoded back with it, an exact round trip. Entries are keyed by raw
-    (name, email) bytes, and each distinct pair is decoded once when the scan
-    ends; records decode each distinct raw name and email once, so the records
-    of one author share their two strings. A rejected or unusual line is decoded
-    and handed to the per-line parser, whose fields are encoded back for the
-    keys. So every result is that of a scan over the decoded text: pairs whose
-    bytes decode alike are one pair, in the place of its first appearance.
+    author bytes: a pipe commit by its (name, email) pair, and a JSON commit by
+    the email-to-name span its layout match holds. A JSON author whose email has
+    a quote has no such span and is keyed by its pair. Each distinct key is split
+    and decoded once when the scan ends; records split a span per line and
+    decode each distinct raw name and email once, so the records of one author
+    share their two strings. A rejected or unusual line is decoded and handed to
+    the per-line parser, whose fields are encoded back for the key. So every
+    result is that of a scan over the decoded text: keys whose bytes decode alike
+    are one pair, in the place of its first appearance.
 
     Blank lines carry no commit and are skipped without counting as malformed.
     Duplicate hashes keep the first occurrence. If the malformed fraction of
@@ -257,11 +276,11 @@ def _scan(
     The common well-formed line is accepted inline, without the per-line parser:
     a pipe line of exactly five fields with an ASCII hash, a 1-12 digit ASCII
     timestamp and a ``0``/``1`` merge flag, or a JSON line in the exact layout
-    ``to_jsonl_line`` writes whose hash, name and email are printable ASCII other
-    than ``"`` and ``\\``. Either also needs a non-empty email or name and a
-    timestamp in range. Every other line, an escaped JSON author or a non-ASCII
-    hash among them, goes through the per-line parser, so what is accepted and
-    every reason are unchanged.
+    ``to_jsonl_line`` writes, LF or CRLF ended, whose hash, name and email are
+    printable ASCII other than ``"`` and ``\\``. Either also needs a non-empty
+    email or name and a timestamp in range. Every other line, an escaped JSON
+    author or a non-ASCII hash among them, goes through the per-line parser, so
+    what is accepted and every reason are unchanged.
     """
     try:
         parse_one = _LINE_PARSERS[fmt]
@@ -283,18 +302,18 @@ def _scan(
     seen_hashes: set[bytes] | set[str] = set()
     pipe = fmt == "pipe"
     jsonl_layout = _JSONL_LAYOUT.fullmatch
+    glue = _GLUE
     keep_records = records is not None
     exclude_merges = merged is not None
-    raw_timelines: defaultdict[tuple[bytes, bytes], list[int]] = defaultdict(list)
-    raw_merged: defaultdict[tuple[bytes, bytes], int] = defaultdict(int)
+    raw_timelines: defaultdict[bytes | tuple[bytes, bytes], list[int]] = defaultdict(list)
+    raw_merged: defaultdict[bytes | tuple[bytes, bytes], int] = defaultdict(int)
     for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip(b"\r\n")
         # Fast path: a timestamp stays 0 unless the line passes these checks, and
         # no int() here sees more than 12 digits. bytes.isdigit() is ASCII-only.
         # An ASCII hash is its own text, so equal texts are equal keys.
         timestamp = 0
         if pipe:
-            fields = line.split(b"|")
+            fields = raw.rstrip(b"\r\n").split(b"|")
             if len(fields) == PIPE_FIELD_COUNT:
                 commit_hash, email, name, stamp, flag = fields
                 if (
@@ -307,15 +326,16 @@ def _scan(
                 ):
                     timestamp = int(stamp)
                     is_merge = flag == b"1"
+                    key = name, email
         else:
-            match = jsonl_layout(line)
+            match = jsonl_layout(raw)
             if match:
-                email, name, stamp, commit_hash, flag = match.groups()
-                if email or name:
+                key, stamp, commit_hash, flag = match.groups()
+                if key != glue:  # a non-empty email or name
                     timestamp = int(stamp)
                     is_merge = flag == b"true"
         if not 0 < timestamp <= MAX_TIMESTAMP:
-            text = line.decode("utf-8", errors)
+            text = raw.rstrip(b"\r\n").decode("utf-8", errors)
             if not text.strip():
                 continue
             try:
@@ -324,27 +344,32 @@ def _scan(
                 malformed.append(MalformedLine(line_no, text, str(exc)))
                 continue
             # Keys are the text's UTF-8 bytes; surrogatepass keeps a JSON hash's
-            # escaped lone surrogate apart from every other hash.
+            # escaped lone surrogate apart from every other hash. A JSON author
+            # takes the fast path's key form wherever its email splits back.
             commit_hash = hash_text.encode("utf-8", "surrogatepass")
             name = name_text.encode("utf-8", "surrogatepass")
             email = email_text.encode("utf-8", "surrogatepass")
+            key = (name, email) if pipe or b'"' in email else email + glue + name
         if keep_records:
             # Decoded before the dedupe, so the set holds the record's own string.
             commit_hash = commit_hash.decode("utf-8", "surrogatepass")
         if commit_hash in seen_hashes:
             shown = commit_hash if keep_records else commit_hash.decode("utf-8", "surrogatepass")
             reason = f"duplicate hash {shown!r}"
-            malformed.append(MalformedLine(line_no, line.decode("utf-8", errors), reason))
+            text = raw.rstrip(b"\r\n").decode("utf-8", errors)
+            malformed.append(MalformedLine(line_no, text, reason))
             continue
         seen_hashes.add(commit_hash)
         if keep_records:
+            if type(key) is bytes:
+                email, _, name = key.partition(glue)
             records.append(
                 _new_record((commit_hash, decoded[name], decoded[email], timestamp, is_merge))
             )
         elif is_merge and exclude_merges:
-            raw_merged[name, email] += 1
+            raw_merged[key] += 1
         else:
-            raw_timelines[name, email].append(timestamp)
+            raw_timelines[key].append(timestamp)
 
     # Every non-blank line was accepted once or is a malformed line.
     parsed = len(seen_hashes)
@@ -357,13 +382,13 @@ def _scan(
         )
     del seen_hashes  # freed before the pairs are decoded, which lowers the peak
 
-    # Each distinct pair decoded once; raw pairs that decode alike are one pair.
-    for (name, email), stamps in raw_timelines.items():
-        kept = timelines.setdefault((decoded[name], decoded[email]), stamps)
+    # Each distinct key decoded once; keys that decode alike are one pair.
+    for key, stamps in raw_timelines.items():
+        kept = timelines.setdefault(_author_text(key, decoded), stamps)
         if kept is not stamps:
             kept += stamps
-    for (name, email), count in raw_merged.items():
-        merged[decoded[name], decoded[email]] += count
+    for key, count in raw_merged.items():
+        merged[_author_text(key, decoded)] += count
     return parsed, malformed
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import unicodedata
 
 import pytest
 
@@ -60,6 +61,23 @@ def test_normalize_name():
     assert normalize_name("  José   GARCÍA ") == "jose garcia"
     assert normalize_name("Björn") == "bjorn"
     assert normalize_name("") == ""
+
+
+def _normalize_name_by_nfkd(name: str) -> str:
+    decomposed = unicodedata.normalize("NFKD", name)
+    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
+    return " ".join(stripped.lower().split())
+
+
+def test_ascii_names_normalize_as_through_nfkd():
+    """ASCII names skip the NFKD decomposition; the result is the same."""
+    for code in range(0x80):
+        for name in (chr(code), f" A{chr(code)}b  C{chr(code)}"):
+            assert normalize_name(name) == _normalize_name_by_nfkd(name), name
+    rng = random.Random(128)
+    for _ in range(2000):
+        name = "".join(chr(rng.randrange(0x80)) for _ in range(rng.randrange(12)))
+        assert normalize_name(name) == _normalize_name_by_nfkd(name), name
 
 
 def test_name_merging_is_opt_in():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import random
@@ -16,6 +17,7 @@ import pytest
 import vcseffort
 from conftest import line_events
 from vcseffort import ingest
+from vcseffort.cli import main
 from vcseffort.errors import ConfigError, IngestionError
 from vcseffort.identity import resolve_identities
 from vcseffort.ingest import (
@@ -1126,6 +1128,29 @@ def _messy_log_lines(rng: random.Random, fmt: str, n: int) -> list[str]:
     return lines
 
 
+def _assert_grouped_in_line_order(timelines, merged, records, exclude_merges,
+                                  joined_spellings=False):
+    """``group_log_stream``'s unsorted entries against ``records`` grouped in line order:
+    pairs in order of first commit, each pair's timestamps in line order, whichever path
+    took each line. With ``joined_spellings``, raw pipe spellings that decode alike join
+    when the scan ends, each spelling's timestamps in line order, so a pair whose text
+    holds U+FFFD compares as a multiset."""
+    expected, expected_merged = {}, {}
+    for record in records:
+        pair = record.author_name, record.author_email
+        if exclude_merges and record.is_merge:
+            expected_merged[pair] = expected_merged.get(pair, 0) + 1
+        else:
+            expected.setdefault(pair, []).append(record.author_timestamp)
+    assert list(timelines) == list(expected)
+    assert list(merged.items()) == list(expected_merged.items())
+    for pair, stamps in expected.items():
+        got = timelines[pair]
+        if joined_spellings and "\ufffd" in "".join(pair):
+            got, stamps = sorted(got), sorted(stamps)
+        assert got == stamps, pair
+
+
 @pytest.mark.parametrize("fmt", ["pipe", "jsonl"])
 def test_streamed_grouping_matches_records_through_apply_filters(fmt, tmp_path):
     """The CLI's scan (group_log_stream, then drop_bots) against the library's records."""
@@ -1139,6 +1164,7 @@ def test_streamed_grouping_matches_records_through_apply_filters(fmt, tmp_path):
                 timelines, merged, parsed, streamed_malformed = group_log_stream(
                     lines, fmt, 1.0, exclude_merges
                 )
+                _assert_grouped_in_line_order(timelines, merged, records, exclude_merges)
                 got = drop_bots(timelines, merged, compile_bot_patterns(patterns))
                 assert got == expected
                 assert list(got[0]) == list(expected[0])
@@ -1227,7 +1253,8 @@ def _messy_log_bytes(rng: random.Random, fmt: str, n: int) -> bytes:
 @pytest.mark.parametrize("fmt", ["pipe", "jsonl"])
 def test_byte_logs_give_the_results_of_their_decoded_text(fmt, tmp_path):
     """The scan over a log's bytes against the reference read of the file decoded as
-    UTF-8 with replacement; and over text lines, lone surrogates included."""
+    UTF-8 with replacement; and over text lines, lone surrogates included. Grouped
+    entries keep line order on both."""
     reference = _reference_pipe_stream if fmt == "pipe" else _reference_jsonl_stream
     rng = random.Random(29)
     path = tmp_path / "log"
@@ -1246,6 +1273,9 @@ def test_byte_logs_give_the_results_of_their_decoded_text(fmt, tmp_path):
                     timelines, merged, parsed, grouped_malformed = group_log_stream(
                         handle, fmt, 1.0, exclude_merges
                     )
+                _assert_grouped_in_line_order(
+                    timelines, merged, records, exclude_merges, fmt == "pipe"
+                )
                 got = drop_bots(timelines, merged, compile_bot_patterns(patterns))
                 expected = apply_filters(expected_records, FilterConfig(patterns, exclude_merges))
                 assert got == expected
@@ -1264,12 +1294,42 @@ def test_byte_logs_give_the_results_of_their_decoded_text(fmt, tmp_path):
         assert records == expected_records
         assert [(m.line_no, m.line, m.reason) for m in malformed] == expected_malformed
         timelines, merged, parsed, grouped_malformed = group_log_stream(lines, fmt, 1.0)
+        _assert_grouped_in_line_order(timelines, merged, records, False)
         assert drop_bots(timelines, merged, []) == apply_filters(records, FilterConfig())
         assert (parsed, grouped_malformed) == (len(records), malformed)
         assert any("\udcff" in r.hash for r in records)
     # The planted lines reached the text-level verdicts they are there for.
     assert "duplicate hash 'dup\ufffd'" in reasons
     assert merged_pairs == 30
+
+
+def test_json_authors_that_spell_the_same_span_stay_two_pairs(tmp_path, capsys):
+    """An email holding the layout's own glue text, and a name holding it, over the same
+    bytes from the email's start to the name's end: two authors with their own commits."""
+    quoted = CommitRecord("q1", "c", 'a", "author_name": "b', 1_600_000_000)
+    plain = CommitRecord("p1", 'b", "author_name": "c', "a", 1_600_100_000)
+    records = [quoted, plain, quoted._replace(hash="q2", author_timestamp=1_600_200_000)]
+    records += [plain._replace(hash=f"p{i}", author_timestamp=1_600_300_000 + i) for i in (2, 3)]
+    lines = [to_jsonl_line(record) for record in records]
+    assert ingest._GLUE.decode() in json.loads(lines[0])["author_email"]
+    grouped = group_log_stream(lines, "jsonl")
+    assert grouped.timelines == {
+        ("c", 'a", "author_name": "b'): [1_600_000_000, 1_600_200_000],
+        ('b", "author_name": "c', "a"): [1_600_100_000, 1_600_300_002, 1_600_300_003],
+    }
+
+    commits = tmp_path / "commits.jsonl"
+    commits.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+    out = tmp_path / "est"
+    code = main(["estimate", "--commits", str(commits), "--theta", "1", "--alignment",
+                 "rolling", "--anchor", "2021-01-01", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    with open(out / "activity.csv", encoding="utf-8", newline="") as handle:
+        rows = list(csv.reader(handle))[1:]
+    counts = {}
+    for developer, _, count in rows:
+        counts[developer] = counts.get(developer, 0) + int(count)
+    assert counts == {'a", "author_name": "b': 2, "a": 3}
 
 
 def seeded_log(n: int, fmt: str) -> list[str]:
@@ -1308,3 +1368,20 @@ def test_ingest_cost_grows_linearly_with_commits(fmt):
     small = line_events(ingest, lambda: run(5000))
     large = line_events(ingest, lambda: run(20000))
     assert large / small < 6, (small, large)
+
+
+def test_crlf_json_lines_stay_on_the_fast_path():
+    """CRLF- and LF-ended JSON lines cost the Python line events of lines without an
+    end: the layout match takes the line end, so no such line falls to the per-line
+    parser."""
+    logs = {
+        ending: [(line + ending).encode() for line in seeded_log(5000, "jsonl")]
+        for ending in ("", "\n", "\r\n")
+    }
+
+    def run(ending: str) -> None:
+        group_log_stream(logs[ending], "jsonl", DEFAULT_MALFORMED_TOLERANCE, True)
+
+    run("\r\n")  # warm-up, untraced
+    events = {ending: line_events(ingest, lambda: run(ending)) for ending in logs}
+    assert events["\r\n"] == events["\n"] == events[""], events

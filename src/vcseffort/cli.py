@@ -173,7 +173,7 @@ def _write_outputs(config: argparse.Namespace, files: dict[str, object], record:
 
 def _ingest(config: argparse.Namespace):
     """Kept timelines, their developer assignments and roster, and the ``ingest`` record."""
-    from contextlib import nullcontext
+    from contextlib import closing
 
     from .identity import AliasMap, load_alias_map, resolve_identities
     from .ingest import (
@@ -190,7 +190,7 @@ def _ingest(config: argparse.Namespace):
     if len(sources) != 1:
         raise ConfigError("exactly one of --log, --commits, or --repo is required")
     if config.repo:
-        source = nullcontext(read_repository_log(config.repo))
+        source = closing(read_repository_log(config.repo))
     else:
         source = open_log(sources[0])
     # The whole log is read, and its malformed-line tolerance checked, before any bot pattern.

@@ -252,26 +252,23 @@ def _scan(
     With ``records`` given, each accepted commit is appended to it as a
     ``CommitRecord``. Otherwise it goes into its author pair's entry:
     ``merged[name, email] += 1`` for a merge when ``merged`` is given, else
-    ``timelines[name, email].append(timestamp)``.
+    ``timelines[name, email].append(timestamp)``. Blank lines are skipped, not
+    malformed; duplicate hashes keep the first occurrence; and ``IngestionError``
+    is raised once the stream ends if the malformed fraction of non-blank lines
+    exceeds ``malformed_tolerance``.
 
-    The log stays bytes until a value leaves ingest. ``lines`` are a log's byte
-    lines, as ``open_log`` yields them, read as UTF-8 with replacement and a BOM
-    opening line 1 dropped; or text lines, each encoded with ``"surrogatepass"``
-    and decoded back with it, an exact round trip. Entries are keyed by raw
-    author bytes: a pipe commit by its (name, email) pair, and a JSON commit by
-    the email-to-name span its layout match holds. A JSON author whose email has
-    a quote has no such span and is keyed by its pair. Each distinct key is split
-    and decoded once when the scan ends; records split a span per line and
-    decode each distinct raw name and email once, so the records of one author
-    share their two strings. A rejected or unusual line is decoded and handed to
-    the per-line parser, whose fields are encoded back for the key. So every
-    result is that of a scan over the decoded text: keys whose bytes decode alike
-    are one pair, in the place of its first appearance.
-
-    Blank lines carry no commit and are skipped without counting as malformed.
-    Duplicate hashes keep the first occurrence. If the malformed fraction of
-    non-blank lines exceeds ``malformed_tolerance``, ``IngestionError`` is raised
-    once the stream ends.
+    Every CLI source, ``open_log`` or ``read_repository_log``, gives byte lines,
+    which stay bytes until a value leaves ingest and are decoded here as UTF-8
+    with replacement, a BOM opening line 1 dropped. A library caller's text lines
+    are each encoded with ``"surrogatepass"`` and decoded back, an exact round
+    trip. Entries are keyed by raw author bytes: a pipe commit by its (name,
+    email) pair, and a JSON commit by the email-to-name span its layout match
+    holds, or by its pair if its email has a quote. Each distinct key is split and
+    decoded once when the scan ends; records decode each distinct raw name and
+    email once, so the records of one author share their two strings. A rejected
+    or unusual line is decoded for the per-line parser, whose fields are encoded
+    back for the key. So every result is that of a scan over the decoded text:
+    keys whose bytes decode alike are one pair, in the place of its first appearance.
 
     The common well-formed line is accepted inline, without the per-line parser:
     a pipe line of exactly five fields with an ASCII hash, a 1-12 digit ASCII
@@ -432,6 +429,9 @@ def group_log_stream(
     ``IngestionError``. ``drop_bots`` finishes the result as ``apply_filters``
     would have: ``drop_bots(timelines, merged, compile_bot_patterns(patterns))``
     equals ``apply_filters(records, FilterConfig(patterns, exclude_merges))``.
+    Raw spellings that decode alike, such as names that differ only in invalid
+    UTF-8, are one pair whose timestamps are joined spelling by spelling, so out
+    of line order, from a file and from ``--repo`` alike; ``drop_bots`` sorts them.
     """
     timelines: defaultdict[tuple[str, str], list[int]] = defaultdict(list)
     merged: defaultdict[tuple[str, str], int] = defaultdict(int)
@@ -444,11 +444,9 @@ def group_log_stream(
 def open_log(path: str) -> AbstractContextManager[IO[bytes]]:
     """Open a commit log file for ``parse_log_stream`` or ``group_log_stream``, in binary.
 
-    The log stays bytes until a value leaves ingest: the scan decodes once per
-    distinct author pair and once per rejected line, and its results are those of
-    reading the file as UTF-8 with replacement, a BOM dropped. As in
-    ``read_repository_log``, records end at a line feed only, so a name keeps a
-    carriage return; CRLF line ends still work.
+    Every CLI source reaches the scan as bytes and is decoded there, with the
+    results of reading the file as UTF-8 with replacement, a BOM dropped. As from
+    git, records end at a line feed only, so a name keeps a carriage return.
     """
     return open_input(path, "commit log", "rb", encoding=None)
 
@@ -538,40 +536,41 @@ def drop_bots(
     return dict(timelines), bots, sum(merged.values())
 
 
-def read_repository_log(repo_path: str) -> list[str]:
-    """Extract pipe-format lines from a local git repository.
+def read_repository_log(repo_path: str) -> Iterator[bytes]:
+    """Stream a git repository's log as pipe-format byte lines, split at line feeds only.
 
-    The merge flag is derived from the parent count of each commit; author
-    timestamps are epoch seconds and therefore timezone-free. The log is read
-    as UTF-8 whatever the repository's output encoding, and undecodable bytes
-    are replaced, so the lines give the results ``parse_log_file`` gives for
-    the same bytes in a file. The lines are text; the scan encodes each back to
-    bytes exactly, and decodes once per distinct author pair and once per
-    rejected line. Records end at a line feed only, so an author name keeps any
-    carriage return, form feed or line separator.
+    Every CLI source reaches the scan as bytes and is decoded there, so the lines
+    give ``parse_log_file``'s results for the same bytes in a file, whatever the
+    repository's output encoding. The merge flag comes from the parent count. git
+    starts at the first line asked for, a failure raises ``IngestionError`` once the
+    stream ends, and closing the stream early kills git.
     """
-    # Imported here, so that only --repo runs pay for loading it.
+    # Imported here, so that only --repo runs pay for loading them.
     import subprocess
+    import tempfile
 
     # --no-show-signature: with log.showSignature set, git prints signature lines on stdout.
     command = [
         "git", "-C", repo_path, "log", "--no-color", "--no-show-signature", "--encoding=UTF-8",
         f"--pretty=format:{GIT_PRETTY_FORMAT}",
     ]
-    try:
-        result = subprocess.run(command, capture_output=True, check=True)
-    except FileNotFoundError as exc:
-        raise IngestionError("git executable not found") from exc
-    except subprocess.CalledProcessError as exc:
-        detail = exc.stderr.decode("utf-8", "replace").strip() or f"exit status {exc.returncode}"
-        raise IngestionError(f"git log failed for {repo_path}: {detail}") from exc
-
-    lines = []
-    # Bytes, then split("\n"): text mode turns "\r" into "\n", and splitlines() splits names.
-    for line in result.stdout.decode("utf-8", "replace").split("\n"):
-        if not line.strip():
-            continue
-        # Parent hashes never contain pipes, so the last field is always %P.
-        fields, _, parents = line.rpartition("|")
-        lines.append(fields + ("|1" if len(parents.split()) > 1 else "|0"))
-    return lines
+    # stderr goes to a file: a full stderr pipe would stall git while stdout is read.
+    with tempfile.TemporaryFile() as stderr:
+        try:
+            git = subprocess.Popen(command, stdout=subprocess.PIPE, stderr=stderr)
+        except FileNotFoundError as exc:
+            raise IngestionError("git executable not found") from exc
+        with git:  # closes stdout and reaps git
+            try:
+                for line in git.stdout:
+                    # Parent hashes never contain pipes, so the last field is always %P.
+                    fields, _, parents = line.rstrip(b"\n").rpartition(b"|")
+                    yield fields + (b"|1" if len(parents.split()) > 1 else b"|0")
+            except BaseException:
+                git.kill()
+                raise
+        if git.returncode:
+            stderr.seek(0)
+            detail = stderr.read().decode("utf-8", "replace").strip()
+            detail = detail or f"exit status {git.returncode}"
+            raise IngestionError(f"git log failed for {repo_path}: {detail}")

@@ -29,6 +29,7 @@ from vcseffort.activity import (
     semester_label,
     subtract_months,
 )
+from vcseffort.cli import main
 from vcseffort.errors import ConfigError, ParameterError
 from vcseffort.identity import resolve_identities
 from vcseffort.ingest import MAX_TIMESTAMP, CommitRecord
@@ -122,6 +123,27 @@ def test_rolling_windows_are_contiguous_and_labeled_by_start():
     assert labels == ["2012-11-01", "2012-12-01", "2013-01-01"]
     for (_, _, earlier_end), (_, later_start, _) in zip(windows, windows[1:]):
         assert earlier_end == later_start
+
+
+def test_rolling_windows_start_at_an_earliest_commit_on_a_window_start():
+    windows = rolling_windows(date(2020, 7, 1), 6, date_to_epoch(date(2020, 1, 1)))
+    assert [label for label, _, _ in windows] == ["2020-01-01"]
+
+
+def test_estimate_writes_no_window_before_the_earliest_commit(tmp_path, capsys):
+    log = tmp_path / "commits.log"
+    log.write_text(
+        f"h1|a@x.org|Dev|{date_to_epoch(date(2020, 1, 1))}|0\n"
+        f"h2|a@x.org|Dev|{date_to_epoch(date(2020, 6, 1))}|0\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    code = main(["estimate", "--log", str(log), "--theta", "1", "--alignment", "rolling",
+                 "--anchor", "2020-07-01", "--out", str(out)])
+    assert code == 0, capsys.readouterr().err
+    report = (out / "report.json").read_text(encoding="utf-8")
+    assert '"2020-01-01"' in report
+    assert "2019-07-01" not in report
 
 
 def test_rolling_aggregate_boundaries_and_overflow():

@@ -186,6 +186,13 @@ def test_load_alias_map_rejects_short_rows(tmp_path):
         load_alias_map(str(path))
 
 
+def test_load_alias_map_rejects_an_empty_alias(tmp_path):
+    path = tmp_path / "aliases.csv"
+    path.write_text("old@x.org,new@x.org\n,canonical@x.org\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="row 2: expected alias,canonical_email"):
+        load_alias_map(str(path))
+
+
 def _oracle_components(pairs, directives, name_merging):
     """Independent grouping: build an adjacency graph and walk components."""
     nodes = list(pairs)

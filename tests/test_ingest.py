@@ -8,6 +8,7 @@ import os
 import random
 import re
 import shutil
+import signal
 import subprocess
 import sys
 from typing import get_type_hints
@@ -120,6 +121,41 @@ def test_tolerance_boundary():
     parse_log_stream(good + ["bad line"])
     with pytest.raises(IngestionError, match="malformed"):
         parse_log_stream(good[:9] + ["bad line"])  # 1 of 10 exceeds 5%
+
+
+def test_zero_tolerance_takes_a_clean_log_and_rejects_one_bad_line(tmp_path, capsys):
+    good = [to_pipe_line(make_record(i)) for i in range(3)]
+    assert len(parse_log_stream(good, malformed_tolerance=0.0).records) == 3
+    with pytest.raises(IngestionError, match="1 of 4 lines malformed"):
+        parse_log_stream(good + ["bad line"], malformed_tolerance=0.0)
+
+    log = tmp_path / "commits.log"
+    log.write_text("".join(line + "\n" for line in good), encoding="utf-8")
+    code = main(["estimate", "--log", str(log), "--theta", "1", "--malformed-tolerance", "0",
+                 "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert (code, err) == (0, "")
+    assert out.startswith("parsed 3 commits (0 malformed)")
+
+
+def test_slow_path_pipe_line_takes_timestamp_one():
+    (record,) = parse_log_stream(["h1|a@b.c|Ann|Lee|1|0"]).records
+    assert (record.author_name, record.author_timestamp) == ("Ann|Lee", 1)
+
+
+def test_out_of_range_reason_cuts_after_twenty_digits():
+    result = parse_log_stream(["h1|a@b.c|N|" + "9" * 20 + "|0", "h2|a@b.c|N|" + "9" * 21 + "|0"],
+                              malformed_tolerance=1.0)
+    assert [m.reason for m in result.malformed] == [
+        "timestamp " + "9" * 20 + " is after 9999-12-31T23:59:59Z",
+        "timestamp " + "9" * 20 + "... is after 9999-12-31T23:59:59Z",
+    ]
+
+
+def test_tolerance_error_previews_five_reasons():
+    with pytest.raises(IngestionError) as excinfo:
+        parse_log_stream([f"bad line {i}" for i in range(7)])
+    assert re.findall(r"line (\d+): ", str(excinfo.value)) == ["1", "2", "3", "4", "5"]
 
 
 def test_negative_and_zero_timestamps_rejected():
@@ -435,7 +471,7 @@ def test_read_repository_log_never_reads_signature_lines(tmp_path):
     # With the setting, a plain log prints the signed commit's signature check on stdout.
     assert len(git("log", "--pretty=format:%H").splitlines()) > 2
 
-    lines = read_repository_log(str(repo))
+    lines = list(read_repository_log(str(repo)))
     assert len(lines) == 2
     result = parse_log_stream(lines)
     assert result.malformed == []
@@ -490,9 +526,9 @@ def test_repository_log_written_to_a_file_parses_the_same(tmp_path):
         git("add", "a.txt")
         git("commit", "-q", "-m", f"commit {i}", name=name, email=email)
 
-    lines = read_repository_log(str(repo))
+    lines = list(read_repository_log(str(repo)))
     path = tmp_path / "repo.log"
-    path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
     result = parse_log_file(str(path))
     assert result == parse_log_stream(lines)
     assert sorted((r.author_name, r.author_email) for r in result.records) == sorted(authors)
@@ -502,7 +538,53 @@ def test_read_repository_log_missing_repo(tmp_path):
     if shutil.which("git") is None:
         pytest.skip("git not installed")
     with pytest.raises(IngestionError, match="git log failed"):
-        read_repository_log(str(tmp_path / "not-a-repo"))
+        list(read_repository_log(str(tmp_path / "not-a-repo")))
+
+
+def _imported_repo(tmp_path, ident: bytes, commits: int):
+    """A repository of ``commits`` commits by one author ident, written by fast-import,
+    which keeps the ident's bytes where git commit rewrites invalid UTF-8 as Latin-1."""
+    repo = tmp_path / "repo"
+    subprocess.run(["git", "init", "-q", "-b", "main", str(repo)], check=True, capture_output=True)
+    stream = b"".join(
+        b"commit refs/heads/main\nauthor %s %d +0000\ncommitter C <c@example.org> %d +0000\n"
+        b"data 0\n\n" % (ident, stamp, stamp)
+        for stamp in range(1_600_000_000, 1_600_000_000 + 100 * commits, 100)
+    )
+    subprocess.run(["git", "-C", str(repo), "fast-import", "--quiet"], input=stream,
+                   check=True, capture_output=True)
+    return repo
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
+def test_repository_stream_groups_as_a_file_of_its_byte_lines(tmp_path):
+    repo = str(_imported_repo(tmp_path, b"F\xff F <ff@example.org>", 3))
+    path = tmp_path / "repo.log"
+    path.write_bytes(b"".join(line + b"\n" for line in read_repository_log(repo)))
+    with open_log(str(path)) as handle:
+        from_file = group_log_stream(handle)
+    assert group_log_stream(read_repository_log(repo)) == from_file
+    assert list(from_file.timelines) == [("F\ufffd F", "ff@example.org")]
+    assert from_file.parsed == 3
+
+
+@pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
+def test_closing_the_repository_stream_early_kills_and_reaps_git(tmp_path, monkeypatch):
+    # More log than a pipe holds, so git is still writing when the stream is closed.
+    repo = str(_imported_repo(tmp_path, b"Test Dev <test@example.org>", 2000))
+    started = []
+    popen = subprocess.Popen
+
+    def recording_popen(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", recording_popen)
+    stream = read_repository_log(repo)
+    assert next(stream).split(b"|")[1:3] == [b"test@example.org", b"Test Dev"]
+    stream.close()
+    (git,) = started
+    assert git.returncode == -signal.SIGKILL
 
 
 def test_jsonl_lone_surrogate_is_malformed():

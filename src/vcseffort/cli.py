@@ -147,7 +147,7 @@ def resolve_config(args: argparse.Namespace, options: Registry) -> argparse.Name
 
 def _write_outputs(config: argparse.Namespace, files: dict[str, object], record: dict) -> None:
     """Create ``--out``, write each file in order, then ``run.json``. The only writer: ``synth``
-    hands it the three files of ``synth.fixture_files``, which replaces ``write_fixture``.
+    hands it the three files of ``synth.fixture_files``.
 
     A non-string is written as JSON, dates as ``YYYY-MM-DD`` and tuples as arrays. A failed
     write raises an ``OSError`` that names the directory or file it could not write.

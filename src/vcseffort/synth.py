@@ -4,8 +4,8 @@ Generated activity is skewed (discrete power law): full-timers draw from
 [theta_true, 10 * theta_true], everyone else from [1, theta_true - 1], so the
 planted threshold separates the two groups perfectly before label noise.
 
-``fixture_files`` replaces ``write_fixture`` and writes nothing: ``vcs-effort synth``
-writes the three files it returns, then ``run.json``, through the CLI's one writer.
+``fixture_files`` writes nothing: ``vcs-effort synth`` writes the three files it
+returns, then ``run.json``, through the CLI's one writer.
 """
 
 from __future__ import annotations

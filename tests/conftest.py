@@ -1,7 +1,7 @@
 """Shared fixtures: a frozen eight-developer reference population and its expected outputs.
 
-The reference population pairs each developer's survey label with a one-month
-activity count. Every expected value below was recomputed by hand from the
+The reference population (in ``golden.py``) pairs each developer's survey label with a
+one-month activity count. Every expected value below was recomputed by hand from the
 definitions, so regressions in the sweep, selection, or effort math surface
 as exact mismatches.
 """
@@ -9,38 +9,14 @@ as exact mismatches.
 from __future__ import annotations
 
 import sys
-from datetime import date
 from pathlib import Path
 
 import pytest
 
-from vcseffort.activity import ActivityMatrix, date_to_epoch
+from golden import REFERENCE_ACTIVITIES, REFERENCE_FULL_TIME, write_reference_inputs
+from vcseffort.activity import ActivityMatrix
 from vcseffort.ingest import FilterConfig, apply_filters
-from vcseffort.survey import (
-    LABEL_FULL,
-    LABEL_NON_FULL,
-    PROVENANCE_SELF,
-    SURVEY_HEADER,
-    SurveyLabel,
-)
-
-REFERENCE_ACTIVITIES = {
-    "d1@example.org": 12,
-    "d2@example.org": 10,
-    "d3@example.org": 13,
-    "d4@example.org": 3,
-    "d5@example.org": 11,
-    "d6@example.org": 8,
-    "d7@example.org": 10,
-    "d8@example.org": 5,
-}
-
-REFERENCE_FULL_TIME = {
-    "d1@example.org",
-    "d2@example.org",
-    "d3@example.org",
-    "d7@example.org",
-}
+from vcseffort.survey import LABEL_FULL, LABEL_NON_FULL, PROVENANCE_SELF, SurveyLabel
 
 # Sweep over thresholds 1..13, rendered/frozen column by column.
 EXPECTED_GOODNESS = [
@@ -67,7 +43,6 @@ SELECTED_THETA = 10
 ARGMAX_RANGE = (9, 11)
 
 REFERENCE_PERIOD_LABEL = "2013-01-01"
-REFERENCE_ANCHOR = date(2013, 2, 1)
 
 
 def timelines(commits) -> dict[tuple[str, str], list[int]]:
@@ -134,33 +109,6 @@ def ref_matrix() -> ActivityMatrix:
             for developer_id, count in REFERENCE_ACTIVITIES.items()
         },
     )
-
-
-def write_reference_inputs(directory: Path) -> dict[str, Path]:
-    """Materialize the reference population as a commit log and survey CSV.
-
-    All commits land in January 2013; the survey is dated 2013-02-01, so a
-    one-month window anchored there reproduces the activity counts exactly.
-    """
-    directory.mkdir(parents=True, exist_ok=True)
-    start = date_to_epoch(date(2013, 1, 1))
-    span = date_to_epoch(REFERENCE_ANCHOR) - start
-    lines = []
-    for index, (email, count) in enumerate(sorted(REFERENCE_ACTIVITIES.items()), start=1):
-        name = f"Dev {index}"
-        for k in range(count):
-            timestamp = start + ((2 * k + 1) * span) // (2 * count)
-            lines.append(f"ref{index:02d}x{k:03d}|{email}|{name}|{timestamp}|0")
-    log_path = directory / "commits.log"
-    log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    survey_rows = [",".join(SURVEY_HEADER)]
-    for email in sorted(REFERENCE_ACTIVITIES):
-        self_class = "full" if email in REFERENCE_FULL_TIME else "part"
-        survey_rows.append(f"{email},{self_class},,{REFERENCE_ANCHOR.isoformat()},")
-    survey_path = directory / "survey.csv"
-    survey_path.write_text("\n".join(survey_rows) + "\n", encoding="utf-8")
-    return {"log": log_path, "survey": survey_path}
 
 
 @pytest.fixture(scope="session")

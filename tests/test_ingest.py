@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import csv
 import json
 import os
@@ -11,10 +12,13 @@ import shutil
 import signal
 import subprocess
 import sys
+from functools import partial
+from pathlib import Path
 from typing import get_type_hints
 
 import pytest
 
+import reference_model
 import vcseffort
 from conftest import line_events
 from vcseffort import ingest
@@ -627,40 +631,6 @@ def test_deeply_nested_json_line_is_malformed():
     ]
 
 
-def test_bot_verdict_per_author_matches_per_commit_recount():
-    """Filtering equals a per-commit regex recount, whatever the patterns."""
-    rng = random.Random(6061)
-    names = ["Ada", "RoBot", "roBot", "Bot Team", "build bot", "Jenkins", "Anna", "Lee", ""]
-    emails = ["a@x.y", "bb@x.y", "ci@x.y", "Bot@x.y", "ee-ee@x.y", ""]
-    # A backreference and a scoped inline flag keep their meaning per pattern.
-    pattern_pool = [r"\bbot\b", r"(?-i:Bot)", r"(\w)\1@", r"^(\w+)-\1@", "jenkins"]
-    for _ in range(100):
-        commits = [
-            CommitRecord(f"h{i}", rng.choice(names), rng.choice(emails), i + 1, rng.random() < 0.3)
-            for i in range(rng.randrange(0, 60))
-        ]
-        patterns = tuple(p for p in pattern_pool if rng.random() < 0.5)
-        exclude_merges = rng.random() < 0.5
-        kept, bots, merges = apply_filters(commits, FilterConfig(patterns, exclude_merges))
-
-        compiled = [re.compile(p, re.IGNORECASE) for p in patterns]
-        expected_kept, expected_bots, expected_merges = [], 0, 0
-        for c in commits:
-            if any(p.search(c.author_name) or p.search(c.author_email) for p in compiled):
-                expected_bots += 1
-            elif exclude_merges and c.is_merge:
-                expected_merges += 1
-            else:
-                expected_kept.append(c)
-        expected_timelines: dict[tuple[str, str], list[int]] = {}
-        for c in expected_kept:
-            expected_timelines.setdefault((c.author_name, c.author_email), []).append(
-                c.author_timestamp
-            )
-        assert kept == expected_timelines
-        assert (bots, merges) == (expected_bots, expected_merges)
-
-
 def test_commit_record_public_surface():
     assert list(get_type_hints(CommitRecord).items()) == [
         ("hash", str),
@@ -745,154 +715,6 @@ def test_parsed_records_are_commit_records_sharing_author_strings(fmt, to_line):
     assert first.author_email is second.author_email
 
 
-def _reference_jsonl_line(line: str) -> CommitRecord:
-    """The json.loads + isinstance procedure the JSON-lines parser must agree with."""
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"invalid JSON: {exc.msg}") from None
-    except RecursionError:
-        raise ValueError("invalid JSON: nested too deeply") from None
-    if not isinstance(obj, dict):
-        raise ValueError("JSON line is not an object")
-    for key in JSONL_REQUIRED_KEYS:
-        if key not in obj:
-            raise ValueError(f"missing key {key!r}")
-    commit_hash = obj["hash"]
-    name = obj["author_name"]
-    email = obj["author_email"]
-    timestamp = obj["author_timestamp"]
-    is_merge = obj["is_merge"]
-    if not isinstance(commit_hash, str) or not commit_hash:
-        raise ValueError("hash must be a non-empty string")
-    if not isinstance(name, str) or not isinstance(email, str):
-        raise ValueError("author_name and author_email must be strings")
-    if not (name.isascii() and email.isascii()):
-        try:
-            (name + email).encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError("author_name or author_email is not valid UTF-8 text") from None
-    if isinstance(timestamp, bool) or not isinstance(timestamp, int):
-        raise ValueError("author_timestamp must be an integer")
-    if timestamp <= 0:
-        raise ValueError(f"non-positive timestamp {timestamp}")
-    if timestamp > MAX_TIMESTAMP:
-        raise ValueError(f"timestamp {timestamp} is after 9999-12-31T23:59:59Z")
-    if not isinstance(is_merge, bool):
-        raise ValueError("is_merge must be a boolean")
-    if not email and not name:
-        raise ValueError("author email and name are both empty")
-    return CommitRecord(commit_hash, name, email, timestamp, is_merge)
-
-
-def _reference_jsonl_stream(lines):
-    records, malformed, seen = [], [], set()
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        try:
-            record = _reference_jsonl_line(line)
-        except ValueError as exc:
-            malformed.append((line_no, line, str(exc)))
-            continue
-        if record.hash in seen:
-            malformed.append((line_no, line, f"duplicate hash {record.hash!r}"))
-            continue
-        seen.add(record.hash)
-        records.append(record)
-    return records, malformed
-
-
-def _mutated_jsonl_lines(rng: random.Random, count: int) -> list[str]:
-    names = ["Ada", "Björn B", 'q"uote', "back\\slash", "c|d", "", "  ", "李雷", "x\u2028y"]
-    emails = ["a@b.c", "UPPER@x.y", "", "é@x.y", "tab\t@x.y"]
-    alphabet = '{}[]":,\\/ \t0123456789-+.eEtrufalsnNI\ufeff\u00e9\x00'
-    whitespace = [" ", "\t", "\r", "\n", "\x0c", "\u00a0", "  \t "]
-
-    def timestamp_line(line, record):
-        value = rng.choice(["NaN", "Infinity", "true", "false", "1.0", "1e9", "-1", "0",
-                            '"5"', "null", str(MAX_TIMESTAMP), str(MAX_TIMESTAMP + 1)])
-        return line.replace(f'"author_timestamp": {record.author_timestamp}',
-                            f'"author_timestamp": {value}')
-
-    def missing_key_line(line, record):
-        obj = json.loads(line)
-        del obj[rng.choice(JSONL_REQUIRED_KEYS)]
-        return json.dumps(obj, sort_keys=rng.random() < 0.5)
-
-    def retyped_line(line, record):
-        obj = json.loads(line)
-        obj[rng.choice(JSONL_REQUIRED_KEYS)] = rng.choice([0, 1, 2.5, "", "x", None, True, [], {}])
-        return json.dumps(obj)
-
-    def surrogate_line(line, record):
-        field = rng.choice(["author_name", "author_email", "hash"])
-        escape = rng.choice(["\\ud800", "\\udfff", "\\ud800\\udc00"])
-        return line.replace(f'"{field}": "', f'"{field}": "{escape}', 1)
-
-    def nested_line(line, record):
-        depth = rng.choice([3, 2_000, 60_000])
-        return rng.choice(["[" * depth, "[" * depth + line + "]" * depth, '{"a": ' * depth])
-
-    def edit_line(line, record):
-        chars = list(line)
-        for _ in range(rng.randrange(1, 4)):
-            at = rng.randrange(len(chars) + 1)
-            action = rng.randrange(3)
-            if action == 0:
-                chars.insert(at, rng.choice(alphabet))
-            elif chars and at < len(chars):
-                if action == 1:
-                    del chars[at]
-                else:
-                    chars[at] = rng.choice(alphabet)
-        return "".join(chars)
-
-    mutations = [
-        edit_line,
-        lambda line, record: rng.choice(whitespace) + line,
-        lambda line, record: line + rng.choice(whitespace),
-        lambda line, record: rng.choice(whitespace) + line + rng.choice(whitespace),
-        lambda line, record: "\ufeff" + line,
-        timestamp_line,
-        missing_key_line,
-        retyped_line,
-        lambda line, record: line + rng.choice(["[]", '"s"', "} x", " []", "{}", "1"]),
-        surrogate_line,
-        nested_line,
-        lambda line, record: rng.choice(["", " ", "\r\n", "\t"]),
-    ]
-    lines = []
-    for serial in range(count):
-        record = CommitRecord(
-            hash=f"h{rng.randrange(count)}",
-            author_name=rng.choice(names),
-            author_email=rng.choice(emails),
-            author_timestamp=rng.randrange(1, MAX_TIMESTAMP + 1),
-            is_merge=rng.random() < 0.3,
-        )
-        line = to_jsonl_line(record)
-        if rng.random() < 0.5:
-            line = rng.choice(mutations)(line, record)
-        lines.append(line)
-    return lines
-
-
-def test_jsonl_parser_matches_the_json_loads_procedure():
-    """Records and (line_no, line, reason) triples equal the reference on mutated lines."""
-    lines = _mutated_jsonl_lines(random.Random(90210), 4_000)
-    result = parse_log_stream(lines, "jsonl", 1.0)
-    expected_records, expected_malformed = _reference_jsonl_stream(lines)
-    assert result.records == expected_records
-    assert [(m.line_no, m.line, m.reason) for m in result.malformed] == expected_malformed
-    # The mutations reach every verdict, not only the clean path.
-    reasons = {reason.split(" ")[0] for _, _, reason in expected_malformed}
-    assert len(expected_records) > 1_000
-    assert {"invalid", "JSON", "missing", "hash", "author", "author_name", "author_timestamp",
-            "is_merge", "duplicate", "non-positive", "timestamp"} <= reasons
-
-
 @pytest.mark.parametrize("int_digit_limit", [None, 0], ids=["default-limit", "no-limit"])
 def test_long_timestamps_do_not_depend_on_the_int_digit_limit(int_digit_limit):
     """A verdict and its reason do not depend on CPython's limit on int() of long text."""
@@ -929,149 +751,423 @@ def test_long_timestamps_do_not_depend_on_the_int_digit_limit(int_digit_limit):
         assert reason == "timestamp " + "9" * 20 + "... is after 9999-12-31T23:59:59Z"
 
 
-def _reference_pipe_stream(lines):
-    """The README's pipe rules, read field by field, without the package's parser."""
-    records, malformed, seen = [], [], set()
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\r\n")
-        if not line.strip():
-            continue
-        parts = line.split("|")
-        if len(parts) < 5:
-            malformed.append((line_no, line, f"expected 5 pipe-delimited fields, got {len(parts)}"))
-            continue
-        commit_hash, email, name = parts[0], parts[1], "|".join(parts[2:-2])
-        stamp, flag = parts[-2], parts[-1]
-        reason = None
-        if not commit_hash:
-            reason = "empty hash field"
-        elif not re.fullmatch(r"-?[0-9]+", stamp):
-            reason = f"non-integer timestamp {stamp!r}"
-        else:
-            sign = "-" if stamp.startswith("-") else ""
-            digits = stamp.lstrip("-").lstrip("0") or "0"
-            shown = sign + digits[:20] + ("..." if len(digits) > 20 else "")
-            # Compared as digit strings: the same length orders like the numbers.
-            limit = str(MAX_TIMESTAMP)
-            if sign or digits == "0":
-                reason = f"non-positive timestamp {'0' if digits == '0' else shown}"
-            elif (len(digits), digits) > (len(limit), limit):
-                reason = f"timestamp {shown} is after 9999-12-31T23:59:59Z"
-            elif flag not in ("0", "1"):
-                reason = f"merge flag must be 0 or 1, got {flag!r}"
-            elif not email and not name:
-                reason = "author email and name are both empty"
-        if reason is None and commit_hash in seen:
-            reason = f"duplicate hash {commit_hash!r}"
-        if reason is not None:
-            malformed.append((line_no, line, reason))
-            continue
-        seen.add(commit_hash)
-        records.append(CommitRecord(commit_hash, name, email, int(digits), flag == "1"))
-    return records, malformed
+_ENCODED_RAW_BYTE = re.compile(rb"\xed[\xb2\xb3][\x80-\xbf]")
 
 
-def _mutated_pipe_lines(rng: random.Random, count: int) -> list[str]:
-    names = ["Ada", "c|d", "e|f|g", "", " ", "Björn", "李雷"]
-    emails = ["a@b.c", "", "UPPER@x.y", "é@x.y"]
-    stamps = [
-        "²", "１６００００００００", "1²", "0" * 7 + "1600000000", "1" * 12, str(MAX_TIMESTAMP),
-        str(MAX_TIMESTAMP + 1), "1" * 13, "9" * 5000, "0" * 5000 + "5", "-0", "-5", "0", "",
-        "-", " 5", "5 ", "+5", "1_5", "-" + "1" * 21,
+def _to_bytes(line: str) -> bytes:
+    """A generated line's bytes: U+DC80..U+DCFF stand for the raw bytes 0x80..0xFF, as
+    surrogateescape reads them back, and any other lone surrogate is written encoded."""
+    return _ENCODED_RAW_BYTE.sub(
+        lambda raw: raw[0].decode("utf-8", "surrogatepass").encode("utf-8", "surrogateescape"),
+        line.encode("utf-8", "surrogatepass"),
+    )
+
+
+def _layout_line(commit_hash, name, email, stamp, is_merge=False) -> str:
+    """A JSON line in to_jsonl_line's layout with each field's text written raw."""
+    return (f'{{"author_email": "{email}", "author_name": "{name}", "author_timestamp": '
+            f'{stamp}, "hash": "{commit_hash}", "is_merge": {"true" if is_merge else "false"}}}')
+
+
+# The adversarial logs' fields, as text in which U+DC80..U+DCFF are raw bytes (see
+# _to_bytes): invalid, truncated and BOM bytes, which a file and text lines read apart.
+# The two A\udcff authors decode alike from a file; RoBot and roBot tell the scoped
+# inline flag from the patterns that ignore case.
+_PEOPLE = [("Ada", "a@x.y"), ("Lee", "l@x.y"), ("Ada", "a2@x.y"), ("build bot", "ci@x.y"),
+           ("Anna", "bot@x.y"), ("", "e@x.y"), ("Mo", ""), ("Lee\rWong", "l@x.y"),
+           ("Ann|Pipe", "ann@x.y"), ("A\udcff", "a@x.y"), ("A\udcfe", "a@x.y")]
+_NAMES = ["", "Björn B", 'q"uote', "back\\slash", "c|d", "e|f|g", " ", "李雷", "x\u2028y",
+          "tab\there", "nul\x00", "del\x7f", "\ud800", "Zoë", "x\udce2\udc82", "bot \udcff",
+          "\udcef\udcbb\udcbfB", "RoBot", "roBot", "Bot Team", "Jenkins", "Zo\\u00eb", "\\ud800",
+          'q\\"t']
+_EMAILS = ["", "a@b.c", "UPPER@x.y", "é@x.y", "tab\t@x.y", "x\udfff@y.z", "e\udcff@x.y",
+           "ci@bot.org", "bb@x.y", "Bot@x.y", "ee-ee@x.y", "s\ud800@x.y"]
+_ODD_HASHES = ["", "\udcff", "\udcfe", "hé", "ħ", "\udce2\udc82", "h\ud800", "\\ud800", "\\u00e9"]
+_PIPE_STAMPS = [
+    "²", "１６００００００００", "١٦" + "0" * 8, "1²", "0" * 7 + "1600000000", "1" * 12, "1" * 13,
+    str(MAX_TIMESTAMP), str(MAX_TIMESTAMP + 1), "9" * 5000, "0" * 5000 + "5", "-0", "-5", "0", "",
+    "-", "--5", " 5", "5 ", "+5", "1_5", "1e9", "0x5f5e1000", "-" + "1" * 21, "9" * 30 + "x",
+]
+_JSON_STAMPS = ["NaN", "Infinity", "true", "false", "1.0", "1e9", "-1", "0", '"5"', "null", "01",
+                str(MAX_TIMESTAMP), str(MAX_TIMESTAMP + 1), "1" * 13, "9" * 25, "9" * 5000]
+_JUNK = ["", " ", "\t", " \r", "\x1c", "\xa0", "\u2028", "\udcff", "\x00", "not a commit",
+         "{bad json", "h|a@b|A|0|0", "h|a@b|A|1|2", "|a@b|A|1|0", "[1, 2, 3]"]
+_WHITESPACE = ["", " ", "\t", "\r", "\n", "\x0c", "\xa0", "  \t "]
+_JSON_ALPHABET = '{}[]":,\\/ \t0123456789-+.eEtrufalsnNI\ufeffé\x00'
+_BOT_PATTERN_POOL = (r"\bbot\b", r"(?-i:Bot)", r"(\w)\1@", r"^(\w+)-\1@", "jenkins")
+
+
+def _mutated_pipe_line(rng: random.Random, commit: tuple) -> str:
+    """A commit's pipe line with one field edited, emptied, dropped or added."""
+    fields = to_pipe_line(CommitRecord(*commit)).split("|")
+    roll = rng.randrange(6)
+    if roll == 0:
+        fields[-2] = rng.choice(_PIPE_STAMPS)
+    elif roll == 1:
+        fields[-1] = rng.choice(["2", " 1", "1 ", "", "01", "true", "\t0"])
+    elif roll == 2:
+        fields[0] = ""
+    elif roll == 3:
+        fields[1:-2] = ["", ""]
+    elif roll == 4:
+        del fields[rng.randrange(len(fields))]
+    else:
+        fields[2:2] = ["x"] * rng.randrange(1, 4)
+    return "|".join(fields)
+
+
+def _json_line(rng: random.Random, commit: tuple) -> str:
+    """A commit in the written layout with raw fields, or as json.dumps writes it: the
+    layout escaped, with raw control characters, reordered, or compact."""
+    obj = dict(zip(JSONL_REQUIRED_KEYS, commit))
+    roll = rng.randrange(8)
+    if roll < 4:
+        return _layout_line(*commit)
+    if roll == 4:
+        return to_jsonl_line(CommitRecord(*commit))
+    if roll == 5:
+        line = json.dumps(obj, sort_keys=True, ensure_ascii=False)
+        return line.replace("\\t", "\t").replace("\\u0000", "\x00")
+    if roll == 6:
+        return json.dumps(dict(reversed(obj.items())), ensure_ascii=rng.random() < 0.5)
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def _mutated_json_line(rng: random.Random, commit: tuple) -> str:
+    """A commit's JSON line with one edit: characters, whitespace, a BOM, the timestamp's
+    text, a key missing or retyped, a surrogate escape, nesting or a trailer."""
+    obj = dict(zip(JSONL_REQUIRED_KEYS, commit))
+    line = to_jsonl_line(CommitRecord(*commit))
+    roll = rng.randrange(10)
+    if roll == 0:
+        chars = list(line)
+        for _ in range(rng.randrange(1, 4)):
+            at = rng.randrange(len(chars) + 1)
+            if at == len(chars) or rng.random() < 0.4:
+                chars.insert(at, rng.choice(_JSON_ALPHABET))
+            elif rng.random() < 0.5:
+                del chars[at]
+            else:
+                chars[at] = rng.choice(_JSON_ALPHABET)
+        return "".join(chars)
+    if roll == 1:
+        return rng.choice(_WHITESPACE) + line + rng.choice(_WHITESPACE)
+    if roll == 2:
+        return "\ufeff" + line
+    if roll == 3:
+        return _layout_line(*commit[:3], rng.choice(_JSON_STAMPS), commit[4])
+    if roll == 4:
+        del obj[rng.choice(JSONL_REQUIRED_KEYS)]
+        return json.dumps(obj, sort_keys=rng.random() < 0.5)
+    if roll == 5:
+        obj[rng.choice(JSONL_REQUIRED_KEYS)] = rng.choice([0, 1, 2.5, "", "x", None, True, [], {}])
+        return json.dumps(obj)
+    if roll == 6:
+        field = rng.choice(["author_name", "author_email", "hash"])
+        escape = rng.choice(["\\ud800", "\\udfff", "\\ud800\\udc00"])
+        return line.replace(f'"{field}": "', f'"{field}": "{escape}', 1)
+    if roll == 7:
+        depth = rng.choice([3, 2_000, 60_000])
+        return rng.choice(["[" * depth, "[" * depth + line + "]" * depth, '{"a": ' * depth])
+    return line + rng.choice(["[]", '"s"', "} x", " []", "{}", "1"])
+
+
+def _planted_lines(fmt: str) -> list[str]:
+    """Lines in every log. First, duplicate hashes: fast after fast (line 2), slow after
+    slow (4), and across the two paths (5, 6, 7). Then hashes and names that a file and
+    text lines read apart; merges by a name-only and by an email-only bot, and by two
+    authors with no other commit, one a bot; and slow-path timestamps 1 and
+    MAX_TIMESTAMP."""
+    if fmt == "pipe":
+        fast, slow = "d1|a@x.y|Ada|1600000000|0", "d2|ann@x.y|Ann|Pipe|1600000001|0"
+        slow_of_fast = "d1|a@x.y|Ada|01600000002|1"  # a leading zero takes the per-line parser
+        edges = ["t1|a@x.y|Ann|Lee|1|0", f"t2|a@x.y|Ann|Lee|{MAX_TIMESTAMP}|1"]
+    else:
+        fast = _layout_line("d1", "Ada", "a@x.y", 1600000000)
+        slow = to_jsonl_line(CommitRecord("d2", "Zoë", "z@x.y", 1600000001))  # escaped
+        slow_of_fast = json.dumps({"hash": "d1", "author_name": "Ada", "author_email": "a@x.y",
+                                   "author_timestamp": 1600000002, "is_merge": True})
+        edges = [to_jsonl_line(CommitRecord("t1", "Zoë", "a@x.y", 1)),
+                 to_jsonl_line(CommitRecord("t2", "Zoë", "a@x.y", MAX_TIMESTAMP, True))]
+    lines = [fast, fast, slow, slow, slow_of_fast]
+    lines += [slow.replace("d2", "d1"), fast.replace("d1", "d2")]
+    planted = [
+        ("dup\udcff", "Dup", "d@x.y"), ("dup\udcfe", "Dup", "d@x.y"),
+        ("same1", "M\udcff", "m@x.y"), ("same2", "M\udcfe", "m@x.y"),
+        ("hé", "é", "e@x.y"), ("\ud800s", "\ud800", "s\ud800@x.y"),
+        ("trunc", "T\udce2\udc82", "t@x.y"), ("nul\x00", "N\x00ul", "n@x.y"),
+        ("cr", "C\rr", "c@x.y"),
+        ("bm1", "build bot", "ci@x.y"), ("bm2", "Anna", "bot@x.y"),
+        ("mo1", "Merge Only", "mo@x.y"), ("mo2", "merge bot", "mb@x.y"),
     ]
-    flags = ["2", " 1", "1 ", "", "01", "true", "\t0"]
-    endings = ["", "\r", "\n", "\r\n", "\r\r\n"]
-    lines = []
-    for _ in range(count):
-        fields = [
-            f"h{rng.randrange(count)}",
-            rng.choice(emails),
-            rng.choice(names),
-            str(rng.randrange(1, MAX_TIMESTAMP + 1)),
-            rng.choice("01"),
-        ]
+    for i, (commit_hash, name, email) in enumerate(planted):
+        record = CommitRecord(commit_hash, name, email, 1_600_000_000 + i, i % 2 == 1 or i > 8)
+        lines.append(to_pipe_line(record) if fmt == "pipe" else _layout_line(*record))
+    return lines + edges
+
+
+def _adversarial_log(rng: random.Random, fmt: str, size: int, bom: bool,
+                     final_end: bool) -> list[str]:
+    """The planted lines and ``size`` seeded ones, each with its line end: commits by
+    recurring or drawn authors, written plainly or with one edit, junk and blank lines,
+    and a raw byte, BOM, NUL, CR, pipe or quote put anywhere."""
+    lines = _planted_lines(fmt)
+    planted = len(lines)
+    for _ in range(size):
+        if rng.random() < 0.6:
+            name, email = rng.choice(_PEOPLE)
+        else:
+            name, email = rng.choice(_NAMES), rng.choice(_EMAILS)
+        commit_hash = f"h{rng.randrange(4 * size)}"
+        if rng.random() < 0.05:
+            commit_hash = rng.choice(_ODD_HASHES)
+        commit = (commit_hash, name, email, rng.randrange(1, MAX_TIMESTAMP + 1), rng.random() < 0.3)
         roll = rng.random()
-        if roll < 0.05:
-            lines.append(rng.choice(["", " ", "\t", "\r\n", " \r", "   \n"]))
-            continue
-        if roll < 0.15:
-            fields[3] = rng.choice(stamps)
-        elif roll < 0.2:
-            fields[4] = rng.choice(flags)
-        elif roll < 0.25:
-            fields[0] = ""
+        if roll < 0.04:
+            line = rng.choice(_JUNK)
         elif roll < 0.3:
-            fields[1] = fields[2] = ""
-        elif roll < 0.35:
-            del fields[rng.randrange(5)]
-        elif roll < 0.4:
-            fields[2:2] = ["x"] * rng.randrange(1, 4)
-        lines.append("|".join(fields) + rng.choice(endings))
-    return lines
+            line = (_mutated_pipe_line if fmt == "pipe" else _mutated_json_line)(rng, commit)
+        else:
+            line = to_pipe_line(CommitRecord(*commit)) if fmt == "pipe" else _json_line(rng, commit)
+        if rng.random() < 0.1:
+            at = rng.randrange(len(line) + 1)
+            inserted = rng.choice(
+                ["\udcff", "\udce2\udc82", "\ud800", "\x00", "\r", "\ufeff", "|", '"']
+            )
+            line = line[:at] + inserted + line[at:]
+        lines.append(line)
+    # A line cut inside a multi-byte sequence, and a BOM on a line of its own.
+    lines.insert(rng.randrange(planted, len(lines) + 1), lines[0] + "\udce2\udc82")
+    lines.insert(rng.randrange(planted, len(lines) + 1), "\ufeff" + lines[0])
+    if bom:
+        lines[0] = "\ufeff" + lines[0]
+    # Planted lines keep a line of their own in a file; any other may run into the next.
+    ends = [rng.choice(["\n", "\r\n", "\r\r\n"]) for _ in range(planted)]
+    ends += rng.choices(["\n", "\r\n", "\r\r\n", "\r", ""], [40, 4, 2, 1, 1],
+                        k=len(lines) - planted)
+    if not final_end:
+        ends[-1] = ""
+    return [line + end for line, end in zip(lines, ends)]
 
 
-def test_pipe_parser_matches_the_readme_rules():
-    """Records and (line_no, line, reason) triples equal a reference read of the rules."""
-    lines = _mutated_pipe_lines(random.Random(4242), 4_000)
-    result = parse_log_stream(lines, "pipe", 1.0)
-    expected_records, expected_malformed = _reference_pipe_stream(lines)
-    assert result.records == expected_records
-    assert [(m.line_no, m.line, m.reason) for m in result.malformed] == expected_malformed
-    assert {type(r) for r in result.records} == {CommitRecord}
-    shared = {}
-    for record in result.records:
-        for text in (record.author_name, record.author_email):
-            assert shared.setdefault(text, text) is text
-    reasons = {reason.split(" ")[0] for _, _, reason in expected_malformed}
-    assert len(expected_records) > 1_500
-    assert {"expected", "empty", "non-integer", "non-positive", "timestamp", "merge",
-            "author", "duplicate"} <= reasons
+def _group_file(path, fmt, tolerance, exclude_merges):
+    with open_log(str(path)) as handle:
+        return group_log_stream(handle, fmt, tolerance, exclude_merges)
+
+
+def _seeded_logs(fmt: str, path):
+    """The seeded adversarial logs, short to long, as (size, text lines, bytes); each is
+    written to ``path`` before it is yielded."""
+    rng = random.Random(2024)
+    for size, bom, final_end in ((40, True, True), (300, False, False), (2200, True, False)):
+        lines = _adversarial_log(rng, fmt, size, bom, final_end)
+        data = b"".join(map(_to_bytes, lines))
+        path.write_bytes(data)
+        yield size, lines, data
+
+
+def _routes(fmt: str, path, lines: list[str], data: bytes) -> list[tuple]:
+    """Each ingest route of one log as (name, source, parse, group): the source is what
+    reference_model.log_lines reads, and parse and group await a tolerance (and
+    exclude_merges). A file's bytes go through parse_log_file and group_log_stream; its
+    text lines, with invalid bytes as lone surrogates, through parse_log_stream and
+    group_log_stream."""
+    return [
+        ("file", data, partial(parse_log_file, str(path), fmt), partial(_group_file, path, fmt)),
+        ("text", lines, partial(parse_log_stream, lines, fmt),
+         partial(group_log_stream, lines, fmt)),
+    ]
+
+
+def _model_read(source, fmt: str) -> tuple[list[tuple], list[tuple]]:
+    return reference_model.parse(reference_model.log_lines(source), fmt)
+
+
+def _model_filtered(commits: list[tuple], patterns: tuple[str, ...], exclude_merges: bool):
+    """The reference model's per-commit recount in apply_filters' shape."""
+    kept, merged, bots = reference_model.group(commits, patterns, exclude_merges)
+    return {pair: sorted(stamps) for pair, stamps in kept.items()}, bots, sum(merged.values())
+
+
+# The scoped inline flag and a backreference also alone, where no other pattern hides them.
+_PATTERN_SETS = [(), DEFAULT_BOT_PATTERNS, _BOT_PATTERN_POOL, (r"(?-i:Bot)",), (r"^(\w+)-\1@",)]
+
+
+def test_reference_model_imports_only_the_standard_library():
+    """A fault in the package cannot hide in the ingest oracle."""
+    tree = ast.parse(Path(reference_model.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert {name.partition(".")[0] for name in imported} <= sys.stdlib_module_names
+
+
+def _check_parse_routes(fmt: str, tmp_path, expected_reasons: set[str]) -> None:
+    """Records and (line_no, line, reason) triples of both routes against the model on
+    the seeded logs, records as CommitRecords sharing author strings, and the tolerance
+    error's text."""
+    path = tmp_path / "log"
+    reasons, accepted = set(), {"file": 0, "text": 0}
+    for size, lines, data in _seeded_logs(fmt, path):
+        for route, source, parse, _ in _routes(fmt, path, lines, data):
+            commits, malformed = _model_read(source, fmt)
+            records, parsed_malformed = parse(1.0)
+            assert records == commits
+            assert parsed_malformed == malformed
+            assert {type(record) for record in records} <= {CommitRecord}
+            shared = {}
+            for text in (text for record in records for text in record[1:3]):
+                if "\ufffd" not in text:
+                    assert shared.setdefault(text, text) is text
+            if size == 40:  # each raise reads the whole log, so the short one takes it
+                with pytest.raises(IngestionError) as excinfo:
+                    parse(0.05)
+                assert str(excinfo.value) == reference_model.ingestion_error(
+                    len(commits), malformed, 0.05
+                )
+            reasons.update(reason.split(" ")[0] for _, _, reason in malformed)
+            accepted[route] += len(commits)
+            # The slow-path edge timestamps are read.
+            assert {("t1", 1), ("t2", MAX_TIMESTAMP)} <= {(c[0], c[3]) for c in records}
+    # The mutations reach every verdict, not only the clean path.
+    assert min(accepted.values()) > 1_000
+    assert reasons >= expected_reasons
+
+
+def test_pipe_parser_matches_the_readme_rules(tmp_path):
+    _check_parse_routes("pipe", tmp_path, {"expected", "empty", "non-integer", "non-positive",
+                                           "timestamp", "merge", "author", "duplicate"})
+
+
+def test_jsonl_parser_matches_the_json_loads_procedure(tmp_path):
+    _check_parse_routes("jsonl", tmp_path, {
+        "invalid", "JSON", "missing", "hash", "author", "author_name", "author_timestamp",
+        "is_merge", "duplicate", "non-positive", "timestamp",
+    })
 
 
 def test_jsonl_lines_in_the_written_layout_match_the_json_loads_procedure():
-    """Lines in to_jsonl_line's layout, and near misses of it, agree with json.loads."""
+    """Commits written as _json_line writes them, raw and escaped, reordered and compact,
+    some with another timestamp's text, agree with the model through both text routes."""
     rng = random.Random(5150)
-    names = ["Ada", "Björn", "李雷", "\ud800", "tab\there", "nul\x00", "del\x7f", "", "c|d"]
-    emails = ["a@b.c", "", "é@x.y", "x\udfff@y.z"]
-    hashes = ["", "h\ud800", "ħ"]
-    stamps = ["01", "1" * 13, str(MAX_TIMESTAMP), str(MAX_TIMESTAMP + 1), "0", "-1"]
     lines = []
     for _ in range(3_000):
-        record = CommitRecord(
-            hash=f"h{rng.randrange(2_000)}",
-            author_name=rng.choice(names) if rng.random() < 0.3 else "Ada",
-            author_email=rng.choice(emails) if rng.random() < 0.3 else "a@b.c",
-            author_timestamp=rng.randrange(1, MAX_TIMESTAMP + 1),
-            is_merge=rng.random() < 0.3,
-        )
+        name, email = rng.choice(_PEOPLE) if rng.random() < 0.6 else (
+            rng.choice(_NAMES), rng.choice(_EMAILS))
+        commit_hash = f"h{rng.randrange(2_000)}"
         if rng.random() < 0.05:
-            record = record._replace(hash=rng.choice(hashes))
-        roll = rng.random()
-        if roll < 0.5:
-            line = to_jsonl_line(record)
-        elif roll < 0.7:
-            # The written layout with raw text, control characters included, for escapes.
-            line = json.dumps(record._asdict(), sort_keys=True, ensure_ascii=False)
-            line = line.replace("\\t", "\t").replace("\\u0000", "\x00")
-        elif roll < 0.8:
-            line = json.dumps(record._asdict(), ensure_ascii=rng.random() < 0.5)
-        elif roll < 0.9:
-            line = json.dumps(record._asdict(), sort_keys=True, separators=(",", ":"))
-        else:
-            line = to_jsonl_line(record).replace(
-                f": {record.author_timestamp},", f": {rng.choice(stamps)},"
-            )
+            commit_hash = rng.choice(_ODD_HASHES)
+        commit = (commit_hash, name, email, rng.randrange(1, MAX_TIMESTAMP + 1), rng.random() < 0.3)
         if rng.random() < 0.1:
-            line += rng.choice(["\r", "\n", "\r\n"])
-        lines.append(line)
-    result = parse_log_stream(lines, "jsonl", 1.0)
-    expected_records, expected_malformed = _reference_jsonl_stream(lines)
-    assert result.records == expected_records
-    assert [(m.line_no, m.line, m.reason) for m in result.malformed] == expected_malformed
-    reasons = {reason.split(" ")[0] for _, _, reason in expected_malformed}
-    assert len(expected_records) > 1_000
+            line = _layout_line(*commit[:3], rng.choice(_JSON_STAMPS), commit[4])
+        else:
+            line = _json_line(rng, commit)
+        lines.append(line + rng.choice(["", "", "", "\r", "\n", "\r\n"]))
+    commits, malformed = reference_model.parse(lines, "jsonl")
+    assert parse_log_stream(lines, "jsonl", 1.0) == (commits, malformed)
+    grouped = group_log_stream(lines, "jsonl", 1.0)
+    assert (grouped.parsed, grouped.malformed) == (len(commits), malformed)
+    timelines = reference_model.group(commits)[0]
+    assert list(grouped.timelines.items()) == list(timelines.items())
+    reasons = {reason.split(" ")[0] for _, _, reason in malformed}
+    assert len(commits) > 1_000
     assert {"invalid", "hash", "author", "author_name", "duplicate", "non-positive",
             "timestamp"} <= reasons
+
+
+@pytest.mark.parametrize("fmt", ["pipe", "jsonl"])
+def test_streamed_grouping_matches_records_through_apply_filters(fmt, tmp_path):
+    """group_log_stream on both routes against the model's grouping of its records, with
+    and without merges: pairs in order of first commit, each pair's timestamps in line
+    order, merge counts, the planted duplicates, and the tolerance error's text."""
+    path = tmp_path / "log"
+    for size, lines, data in _seeded_logs(fmt, path):
+        for route, source, _, group in _routes(fmt, path, lines, data):
+            commits, malformed = _model_read(source, fmt)
+            for exclude_merges in (False, True):
+                timelines, merged, parsed, grouped_malformed = group(1.0, exclude_merges)
+                assert (parsed, grouped_malformed) == (len(commits), malformed)
+                expected, expected_merged, _ = reference_model.group(commits, (), exclude_merges)
+                assert list(merged.items()) == list(expected_merged.items())
+                assert list(timelines) == list(expected)
+                for pair, stamps in expected.items():
+                    # Raw pipe spellings that decode alike are joined when the scan ends,
+                    # each in line order (group_log_stream's docstring): multisets.
+                    if route == "file" and fmt == "pipe" and "\ufffd" in "".join(pair):
+                        assert sorted(timelines[pair]) == sorted(stamps), pair
+                    else:
+                        assert timelines[pair] == stamps, pair
+            # Duplicates of the first lines: fast after fast, slow after slow, and across.
+            # (Text lines keep a BOM, which makes line 1 malformed in some logs.)
+            if route == "file":
+                assert [(n, reason) for n, _, reason in grouped_malformed[:5]] == [
+                    (2, "duplicate hash 'd1'"), (4, "duplicate hash 'd2'"),
+                    (5, "duplicate hash 'd1'"), (6, "duplicate hash 'd1'"),
+                    (7, "duplicate hash 'd2'"),
+                ]
+            if size == 40:  # each raise reads the whole log, so the short one takes it
+                with pytest.raises(IngestionError) as excinfo:
+                    group(0.05, True)
+                assert str(excinfo.value) == reference_model.ingestion_error(
+                    len(commits), malformed, 0.05
+                )
+
+
+@pytest.mark.parametrize("fmt", ["pipe", "jsonl"])
+def test_byte_logs_give_the_results_of_their_decoded_text(fmt, tmp_path):
+    """A log's bytes read as the text the model decodes them to, through both text
+    routes; and the planted bytes reach the verdicts they are there for."""
+    path = tmp_path / "log"
+    for _, lines, data in _seeded_logs(fmt, path):
+        decoded = reference_model.log_lines(data)
+        records, malformed = parse_log_file(str(path), fmt, 1.0)
+        assert (records, malformed) == parse_log_stream(decoded, fmt, 1.0)
+        for exclude_merges in (False, True):
+            from_bytes = _group_file(path, fmt, 1.0, exclude_merges)
+            from_text = group_log_stream(decoded, fmt, 1.0, exclude_merges)
+            assert from_bytes[1:] == from_text[1:]
+            assert drop_bots(*from_bytes[:2], []) == drop_bots(*from_text[:2], [])
+        # Two hashes, and then two names, that differ only in invalid bytes: as text the
+        # second hash is a duplicate and the two names are one pair.
+        assert "duplicate hash 'dup\ufffd'" in {reason for _, _, reason in malformed}
+        assert {"same1", "same2"} <= {c[0] for c in records if c[1:3] == ("M\ufffd", "m@x.y")}
+        # Text lines keep an invalid byte as a lone surrogate.
+        assert any("\udcff" in c[0] for c in parse_log_stream(lines, fmt, 1.0)[0])
+
+
+def test_bot_verdict_per_author_matches_per_commit_recount(tmp_path):
+    """drop_bots over group_log_stream's pairs equals the model's per-commit regex
+    recount, whatever the patterns, a backreference and a scoped inline flag included."""
+    path = tmp_path / "log"
+    for fmt in ("pipe", "jsonl"):
+        for _, lines, data in _seeded_logs(fmt, path):
+            commits, _ = _model_read(data, fmt)
+            for exclude_merges in (False, True):
+                timelines, merged, _, _ = _group_file(path, fmt, 1.0, exclude_merges)
+                for patterns in _PATTERN_SETS:
+                    finished = drop_bots({pair: list(stamps) for pair, stamps in timelines.items()},
+                                         dict(merged), compile_bot_patterns(patterns))
+                    expected = _model_filtered(commits, patterns, exclude_merges)
+                    assert finished == expected
+                    assert list(finished[0]) == list(expected[0])
+
+
+def test_filters_per_pair_match_the_per_commit_loop(tmp_path):
+    """apply_filters on a file's records equals the model's per-commit recount: counts,
+    timelines and their order, with bot merges, merge-only pairs and email-only bots."""
+    path = tmp_path / "log"
+    for fmt in ("pipe", "jsonl"):
+        for _, lines, data in _seeded_logs(fmt, path):
+            records, _ = parse_log_file(str(path), fmt, 1.0)
+            commits, _ = _model_read(data, fmt)
+            for patterns in _PATTERN_SETS:
+                for exclude_merges in (False, True):
+                    filtered = apply_filters(records, FilterConfig(patterns, exclude_merges))
+                    expected = _model_filtered(commits, patterns, exclude_merges)
+                    assert filtered == expected
+                    assert list(filtered[0]) == list(expected[0])
+            bot_merges = {c[1:3] for c in commits if c[4]}
+            assert {("build bot", "ci@x.y"), ("Anna", "bot@x.y")} <= bot_merges
 
 
 def test_every_ascii_and_some_other_characters_in_the_written_layout_match_json_loads():
@@ -1079,10 +1175,6 @@ def test_every_ascii_and_some_other_characters_in_the_written_layout_match_json_
     escaped by to_jsonl_line itself: the records, timelines and reasons of json.loads."""
     characters = [chr(code) for code in range(0x80)]
     characters += ["é", "ħ", "\u2028", "\ufeff", "\U0001f600", "\ud800"]
-    layout = (
-        '{{"author_email": "{2}", "author_name": "{1}", "author_timestamp": {3}, '
-        '"hash": "{0}", "is_merge": false}}'
-    )
     lines = []
     for serial, char in enumerate(characters):
         stamp = 1_600_000_000 + serial
@@ -1092,16 +1184,17 @@ def test_every_ascii_and_some_other_characters_in_the_written_layout_match_json_
             CommitRecord(f"h{char}{serial}", "Ada", "a@b.c", stamp),
             CommitRecord(f"o{serial}", char, "", stamp),
         ):
-            lines.append(layout.format(*record))
+            lines.append(_layout_line(*record))
             lines.append(to_jsonl_line(record._replace(hash=record.hash + "-escaped")))
-    expected_records, expected_malformed = _reference_jsonl_stream(lines)
+    expected_records, expected_malformed = reference_model.parse(lines, "jsonl")
     records, malformed = parse_log_stream(lines, "jsonl", 1.0)
     assert records == expected_records
-    assert [(m.line_no, m.line, m.reason) for m in malformed] == expected_malformed
+    assert malformed == expected_malformed
     grouped = group_log_stream(lines, "jsonl", 1.0)
     assert (grouped.parsed, grouped.malformed) == (len(records), malformed)
-    assert drop_bots(grouped.timelines, grouped.merged, []) == apply_filters(
-        expected_records, FilterConfig()
+    timelines = reference_model.group(expected_records)[0]
+    assert drop_bots(grouped.timelines, grouped.merged, []) == (
+        {pair: sorted(stamps) for pair, stamps in timelines.items()}, 0, 0
     )
     # Both sides of each range edge: 0x1f/0x20, 0x21/0x22/0x23, 0x5b/0x5c/0x5d, 0x7e/0x7f.
     kept = {record.hash for record in records}
@@ -1115,7 +1208,7 @@ def test_every_ascii_and_some_other_characters_in_the_written_layout_match_json_
         char
         for char in characters
         if ingest._JSONL_LAYOUT.fullmatch(
-            layout.format(f"h{char}", char, char, 1).encode("utf-8", "surrogatepass")
+            _layout_line(f"h{char}", char, char, 1).encode("utf-8", "surrogatepass")
         )
     }
     assert fast == printable
@@ -1131,258 +1224,6 @@ def test_non_integer_timestamp_reason_shows_at_most_20_characters():
         "non-integer timestamp '" + "x" * 20 + "'...",
     ]
     assert len(reasons[0]) < 60
-
-
-def _reference_apply_filters(commits, config):
-    """Filtering as one verdict lookup per commit, in commit order."""
-    patterns = [re.compile(p, re.IGNORECASE) for p in config.bot_patterns]
-    is_bot, timelines, bots, merges = {}, {}, 0, 0
-    for commit in commits:
-        author = commit.author_name, commit.author_email
-        if patterns:
-            if author not in is_bot:
-                is_bot[author] = any(p.search(author[0]) or p.search(author[1]) for p in patterns)
-            if is_bot[author]:
-                bots += 1
-                continue
-        if config.exclude_merges and commit.is_merge:
-            merges += 1
-        else:
-            timelines.setdefault(author, []).append(commit.author_timestamp)
-    for stamps in timelines.values():
-        stamps.sort()
-    return timelines, bots, merges
-
-
-def test_filters_per_pair_match_the_per_commit_loop():
-    """Counts, timelines and their order, with bot merges, merge-only pairs, email-only bots."""
-    name_bot, email_bot, merge_only = ("build bot", "ci@x.y"), ("Anna", "bot@x.y"), ("M", "m@x.y")
-    pairs = [("Ada", "a@x.y"), ("Lee", "l@x.y"), ("Ada", "a2@x.y"), name_bot, email_bot, merge_only]
-    rng = random.Random(9931)
-    bot_merges = set()
-    for _ in range(40):
-        commits = []
-        for i in range(rng.randrange(0, 120)):
-            pair = rng.choice(pairs)
-            is_merge = pair == merge_only or rng.random() < 0.3
-            commits.append(CommitRecord(f"h{i}", *pair, rng.randrange(1, 10**6), is_merge))
-        for patterns in ((), DEFAULT_BOT_PATTERNS):
-            for exclude_merges in (False, True):
-                config = FilterConfig(patterns, exclude_merges)
-                timelines, bots, merges = apply_filters(commits, config)
-                expected = _reference_apply_filters(commits, config)
-                assert (timelines, bots, merges) == expected
-                assert list(timelines) == list(expected[0])
-        bot_merges.update(c[1:3] for c in commits if c.is_merge and c[1:3] in (name_bot, email_bot))
-    assert bot_merges == {name_bot, email_bot}
-
-
-def _messy_log_lines(rng: random.Random, fmt: str, n: int) -> list[str]:
-    """Seeded lines of one format: every path the scan takes, duplicates on each side."""
-    if fmt == "pipe":
-        fast, slow = "d1|a@x.y|Ada|1600000000|0", "d2|ann@x.y|Ann|Pipe|1600000001|0"
-        slow_of_fast = "d1|a@x.y|Ada|01600000002|1"  # a leading zero takes the per-line parser
-    else:
-        fast = to_jsonl_line(CommitRecord("d1", "Ada", "a@x.y", 1600000000))
-        slow = to_jsonl_line(CommitRecord("d2", "Zoë", "z@x.y", 1600000001))  # escaped
-        slow_of_fast = json.dumps({"hash": "d1", "author_name": "Ada", "author_email": "a@x.y",
-                                   "author_timestamp": 1600000002, "is_merge": True})
-    lines = [fast, fast, slow, slow, slow_of_fast, slow.replace("d2", "d1"), fast.replace("d1", "d2")]
-    people = [("Ada", "a@x.y"), ("Lee\rWong", "l@x.y"), ("Zoë", "z@x.y"), ("Ann|Pipe", "ann@x.y"),
-              ("build bot", "ci@x.y"), ("Anna", "bot@x.y"), ("", "e@x.y"), ("Mo", "")]
-    for _ in range(n):
-        record = CommitRecord(f"h{rng.randrange(n)}", *rng.choice(people),
-                              rng.randrange(1, 2 * 10**9), rng.random() < 0.3)
-        if fmt == "pipe":
-            line = to_pipe_line(record)
-        elif rng.random() < 0.5:
-            line = to_jsonl_line(record)
-        else:
-            line = json.dumps(dict(reversed(record._asdict().items())), ensure_ascii=False)
-        kind = rng.random()
-        if kind < 0.1:
-            line += "\r\n"
-        elif kind < 0.15:
-            line = rng.choice(["", "  ", "\r\n"])
-        elif kind < 0.2:
-            line = rng.choice(["not a commit", "{bad json", "h|a@b|A|0|0", "h|a@b|A|1|2", "|a@b|A|1|0"])
-        lines.append(line)
-    return lines
-
-
-def _assert_grouped_in_line_order(timelines, merged, records, exclude_merges,
-                                  joined_spellings=False):
-    """``group_log_stream``'s unsorted entries against ``records`` grouped in line order:
-    pairs in order of first commit, each pair's timestamps in line order, whichever path
-    took each line. With ``joined_spellings``, raw pipe spellings that decode alike join
-    when the scan ends, each spelling's timestamps in line order, so a pair whose text
-    holds U+FFFD compares as a multiset."""
-    expected, expected_merged = {}, {}
-    for record in records:
-        pair = record.author_name, record.author_email
-        if exclude_merges and record.is_merge:
-            expected_merged[pair] = expected_merged.get(pair, 0) + 1
-        else:
-            expected.setdefault(pair, []).append(record.author_timestamp)
-    assert list(timelines) == list(expected)
-    assert list(merged.items()) == list(expected_merged.items())
-    for pair, stamps in expected.items():
-        got = timelines[pair]
-        if joined_spellings and "\ufffd" in "".join(pair):
-            got, stamps = sorted(got), sorted(stamps)
-        assert got == stamps, pair
-
-
-@pytest.mark.parametrize("fmt", ["pipe", "jsonl"])
-def test_streamed_grouping_matches_records_through_apply_filters(fmt, tmp_path):
-    """The CLI's scan (group_log_stream, then drop_bots) against the library's records."""
-    rng = random.Random(4241)
-    for size in (0, 5, 60, 400):
-        lines = _messy_log_lines(rng, fmt, size)
-        records, malformed = parse_log_stream(lines, fmt, 1.0)
-        for patterns in ((), DEFAULT_BOT_PATTERNS):
-            for exclude_merges in (False, True):
-                expected = apply_filters(records, FilterConfig(patterns, exclude_merges))
-                timelines, merged, parsed, streamed_malformed = group_log_stream(
-                    lines, fmt, 1.0, exclude_merges
-                )
-                _assert_grouped_in_line_order(timelines, merged, records, exclude_merges)
-                got = drop_bots(timelines, merged, compile_bot_patterns(patterns))
-                assert got == expected
-                assert list(got[0]) == list(expected[0])
-                assert parsed == len(records)
-                assert streamed_malformed == malformed
-        # Duplicates of the first lines: fast after fast, slow after slow, and across.
-        assert [(m.line_no, m.reason) for m in malformed[:5]] == [
-            (2, "duplicate hash 'd1'"), (4, "duplicate hash 'd2'"), (5, "duplicate hash 'd1'"),
-            (6, "duplicate hash 'd1'"), (7, "duplicate hash 'd2'"),
-        ]
-
-        # The same lines read from a file, as the CLI reads them.
-        path = tmp_path / "log"
-        path.write_bytes("".join(line + "\n" for line in lines).encode("utf-8"))
-        records, malformed = parse_log_file(str(path), fmt, 1.0)
-        with open_log(str(path)) as handle:
-            timelines, merged, parsed, streamed_malformed = group_log_stream(handle, fmt, 1.0)
-        assert drop_bots(timelines, merged, []) == apply_filters(records, FilterConfig())
-        assert (parsed, streamed_malformed) == (len(records), malformed)
-
-        if size:
-            with pytest.raises(IngestionError) as library:
-                parse_log_stream(lines, fmt, 0.05)
-            with pytest.raises(IngestionError) as streamed:
-                group_log_stream(lines, fmt, 0.05, True)
-            assert str(streamed.value) == str(library.value)
-
-
-_JSONL_BYTES_LAYOUT = (
-    b'{"author_email": "%s", "author_name": "%s", "author_timestamp": %d, "hash": "%s", '
-    b'"is_merge": %s}'
-)
-
-
-def _byte_log_line(fmt: str, commit_hash: bytes, name: bytes, email: bytes, stamp: int,
-                   is_merge: bool) -> bytes:
-    """One line in the layout the fast paths take, with the fields' raw bytes."""
-    if fmt == "pipe":
-        return b"%s|%s|%s|%d|%d" % (commit_hash, email, name, stamp, is_merge)
-    return _JSONL_BYTES_LAYOUT % (email, name, stamp, commit_hash, b"true" if is_merge else b"false")
-
-
-def _messy_log_bytes(rng: random.Random, fmt: str, n: int) -> bytes:
-    """A seeded byte log: invalid and truncated UTF-8, surrogate bytes, BOMs, CR, NUL and
-    text-only whitespace, around lines planted in every log."""
-    planted = [
-        # Two hashes, and then two names, that differ only in invalid bytes: as text
-        # the second hash is a duplicate and the two names are one pair.
-        (b"dup\xff", b"Dup", b"d@x.y"), (b"dup\xfe", b"Dup", b"d@x.y"),
-        (b"same1", b"M\xff", b"m@x.y"), (b"same2", b"M\xfe", b"m@x.y"),
-        (b"h\xc3\xa9", b"\xc3\xa9", b"e@x.y"),  # a valid non-ASCII hash
-        (b"\xed\xa0\x80s", b"\xed\xa0\x80", b"s\xed\xa0\x80@x.y"),
-        (b"trunc", b"T\xe2\x82", b"t@x.y"),
-        (b"nul\x00", b"N\x00ul", b"n@x.y"),
-        (b"cr", b"C\rr", b"c@x.y"),
-    ]
-    lines = [_byte_log_line(fmt, h, nm, em, 1_600_000_000 + i, i % 2 == 1)
-             for i, (h, nm, em) in enumerate(planted)]
-    lines += [b"", b"\x1c", b"\xc2\xa0", b"\xe2\x80\xa8", b" \r", b"\xff", b"\x00"]
-    names = [b"Ada", b"Zo\xc3\xab", b"A\xff", b"A\xfe", b"\xed\xa0\x80", b"x\xe2\x82", b"",
-             b"bot \xff", b"\xef\xbb\xbfB"]
-    emails = [b"a@x.y", b"", b"\xc3\xa9@x.y", b"e\xff@x.y", b"ci@bot.org"]
-    hashes = [b"h%d" % k for k in range(n // 2)] + [b"\xff", b"\xfe", b"h\xc3\xa9", b"\xe2\x82"]
-    if fmt == "jsonl":
-        names += [b"Zo\\u00eb", b"\\ud800", b"q\\\"t", b"nul\x00"]
-        hashes += [b"\\ud800", b"\\u00e9"]
-    for _ in range(n):
-        line = _byte_log_line(fmt, rng.choice(hashes), rng.choice(names), rng.choice(emails),
-                              rng.randrange(1, 2 * 10**9), rng.random() < 0.3)
-        if rng.random() < 0.15:
-            at = rng.randrange(len(line) + 1)
-            line = line[:at] + rng.choice([b"\xff", b"\xe2\x82", b"\xed\xa0\x80", b"\x00", b"\r",
-                                           b"\xef\xbb\xbf", b"|", b'"']) + line[at:]
-        lines.append(line)
-    rng.shuffle(lines)
-    # A line cut inside a multi-byte sequence, and a BOM on a line of its own.
-    lines.insert(rng.randrange(len(lines) + 1), lines[0] + b"\xe2\x82")
-    lines.insert(rng.randrange(1, len(lines) + 1), b"\xef\xbb\xbf" + lines[0])
-    if rng.random() < 0.5:
-        lines[0] = b"\xef\xbb\xbf" + lines[0]
-    endings = [b"\n", b"\r\n", b"\r\r\n"]
-    data = b"".join(line + rng.choice(endings) for line in lines)
-    return data if rng.random() < 0.5 else data.rstrip(b"\r\n")
-
-
-@pytest.mark.parametrize("fmt", ["pipe", "jsonl"])
-def test_byte_logs_give_the_results_of_their_decoded_text(fmt, tmp_path):
-    """The scan over a log's bytes against the reference read of the file decoded as
-    UTF-8 with replacement; and over text lines, lone surrogates included. Grouped
-    entries keep line order on both."""
-    reference = _reference_pipe_stream if fmt == "pipe" else _reference_jsonl_stream
-    rng = random.Random(29)
-    path = tmp_path / "log"
-    reasons, merged_pairs = set(), 0
-    for _ in range(30):
-        data = _messy_log_bytes(rng, fmt, 120)
-        path.write_bytes(data)
-        with open(path, encoding="utf-8-sig", errors="replace", newline="\n") as handle:
-            expected_records, expected_malformed = reference(handle)
-        records, malformed = parse_log_file(str(path), fmt, 1.0)
-        assert records == expected_records
-        assert [(m.line_no, m.line, m.reason) for m in malformed] == expected_malformed
-        for patterns in ((), DEFAULT_BOT_PATTERNS):
-            for exclude_merges in (False, True):
-                with open_log(str(path)) as handle:
-                    timelines, merged, parsed, grouped_malformed = group_log_stream(
-                        handle, fmt, 1.0, exclude_merges
-                    )
-                _assert_grouped_in_line_order(
-                    timelines, merged, records, exclude_merges, fmt == "pipe"
-                )
-                got = drop_bots(timelines, merged, compile_bot_patterns(patterns))
-                expected = apply_filters(expected_records, FilterConfig(patterns, exclude_merges))
-                assert got == expected
-                assert list(got[0]) == list(expected[0])
-                assert (parsed, grouped_malformed) == (len(records), malformed)
-        reasons.update(reason for _, _, reason in expected_malformed)
-        merged_pairs += {"same1", "same2"} <= {
-            r.hash for r in expected_records if r[1:3] == ("M\ufffd", "m@x.y")
-        }
-
-        # Text lines: invalid bytes as lone surrogates, and a surrogate's bytes as itself.
-        text = data.decode("utf-8", "surrogateescape").replace("\udced\udca0\udc80", "\ud800")
-        lines = text.split("\n")
-        expected_records, expected_malformed = reference(lines)
-        records, malformed = parse_log_stream(lines, fmt, 1.0)
-        assert records == expected_records
-        assert [(m.line_no, m.line, m.reason) for m in malformed] == expected_malformed
-        timelines, merged, parsed, grouped_malformed = group_log_stream(lines, fmt, 1.0)
-        _assert_grouped_in_line_order(timelines, merged, records, False)
-        assert drop_bots(timelines, merged, []) == apply_filters(records, FilterConfig())
-        assert (parsed, grouped_malformed) == (len(records), malformed)
-        assert any("\udcff" in r.hash for r in records)
-    # The planted lines reached the text-level verdicts they are there for.
-    assert "duplicate hash 'dup\ufffd'" in reasons
-    assert merged_pairs == 30
 
 
 def test_json_authors_that_spell_the_same_span_stay_two_pairs(tmp_path, capsys):

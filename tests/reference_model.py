@@ -1,25 +1,41 @@
-"""A slow, obvious reading of commit logs by the README's rules: the ingest oracle.
+"""A slow, obvious reading of the README's rules, from log lines to person-months: the
+pipeline oracle.
 
 It uses the standard library only and imports nothing from ``vcseffort``, so a fault
 in the package cannot hide in its reference. ``tests/test_ingest.py``'s differential
-tests hold every ingest route to it:
+tests hold every ingest route to its ingest stage, the layer suites hold each later
+stage to it, and ``tests/test_pipeline.py`` holds ``cli.main`` to all of it. The stages:
 
-- ``log_lines`` reads a log as the README's *Data formats* section and
-  ``open_log`` describe it;
-- ``parse`` gives the commits and the rejected lines;
-- ``ingestion_error`` gives the text of the error a malformed-line tolerance raises;
-- ``group`` drops bots and merges commit by commit and groups the rest per author.
+- ingest: ``log_lines`` reads a log by the README's *Data formats*, ``parse`` gives its
+  commits and rejected lines, ``ingestion_error`` the malformed-line tolerance's error,
+  and ``group`` drops bots and merges commit by commit and groups the rest per author;
+- ``identities`` merges author pairs into developers, repeating until nothing changes;
+- ``activity`` and ``window_activity`` count per developer and period by date arithmetic;
+- ``triangulate`` labels survey rows; ``sweep``, ``select`` and ``sweep_csv`` count the
+  labels at each threshold;
+- ``effort``, ``render_quantity`` and ``render_percent`` sum saturated efforts cell by
+  cell and round them as the README does.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
+import unicodedata
+from calendar import monthrange
+from datetime import date, datetime, timedelta
+from fractions import Fraction
 
 # 9999-12-31T23:59:59Z, the last second a UTC date can represent.
 MAX_TIMESTAMP = 253402300799
 
 REQUIRED_KEYS = ("hash", "author_name", "author_email", "author_timestamp", "is_merge")
+
+# The README's *Common options* table.
+DEFAULT_BOT_PATTERNS = (r"\bbot\b", "jenkins", "gerrit", "automation")
+
+FULL, NON_FULL = "full-time", "non-full-time"
 
 
 def log_lines(source: bytes | list[str]) -> list[str]:
@@ -149,3 +165,206 @@ def _jsonl_commit(line: str) -> tuple:
     if not email and not name:
         raise ValueError("author email and name are both empty")
     return commit_hash, name, email, timestamp, is_merge
+
+
+def normalize_name(name: str) -> str:
+    """A name with its NFKD diacritics dropped, lowercased, inner whitespace collapsed."""
+    decomposed = unicodedata.normalize("NFKD", name)
+    return " ".join("".join(c for c in decomposed if not unicodedata.combining(c)).lower().split())
+
+
+def identities(pairs, directives=(), name_merging: bool = False) -> list[tuple]:
+    """Developers as (id, primary email, frozenset of (name, email) pairs), by id.
+
+    Each pair starts as a group holding its lowercased email, the canonical email of
+    each directive naming its email or raw name (ignoring case), and with
+    ``name_merging`` its normalized name. Two groups that hold a common email or name
+    merge, until none do. A group's id is its smallest email, else ``name:`` and its
+    smallest raw name, which takes the first ``#2``, ``#3``, ... that is no group's id
+    when a group with an email has it."""
+    canonical = {}
+    for alias, target in directives:
+        if canonical.setdefault(alias.lower(), target.lower()) != target.lower():
+            raise ValueError(f"alias {alias!r} maps to two canonical emails")
+    groups = []
+    for name, email in dict.fromkeys(pairs):
+        emails = {canonical[token] for token in (email.lower(), name.lower()) if token in canonical}
+        emails |= {email.lower()} - {""}
+        names = {normalize_name(name)} - {""} if name_merging else set()
+        groups.append(({(name, email)}, emails, names))
+    merged = True
+    while merged:
+        merged = False
+        for first, second in itertools.combinations(range(len(groups)), 2):
+            if groups[first][1] & groups[second][1] or groups[first][2] & groups[second][2]:
+                other = groups.pop(second)
+                groups[first] = tuple(mine | theirs for mine, theirs in zip(groups[first], other))
+                merged = True
+                break
+    named = [(min(emails) if emails else "name:" + min(name for name, _ in members),
+              emails, members) for members, emails, _ in groups]
+    taken = {developer_id for developer_id, _, _ in named}
+    with_email = {developer_id for developer_id, emails, _ in named if emails}
+    developers = []
+    for developer_id, emails, members in named:
+        if not emails and developer_id in with_email:
+            suffixed = (f"{developer_id}#{suffix}" for suffix in itertools.count(2))
+            developer_id = next(free for free in suffixed if free not in taken)
+        developers.append((developer_id, developer_id if emails else "", frozenset(members)))
+    return sorted(developers)
+
+
+def utc_day(timestamp: int) -> date:
+    return (datetime(1970, 1, 1) + timedelta(seconds=timestamp)).date()
+
+
+def months_before(day: date, months: int) -> date:
+    """The same day ``months`` calendar months earlier, cut to that month's last day."""
+    year, month = divmod(day.year * 12 + day.month - 1 - months, 12)
+    return date(year, month + 1, min(day.day, monthrange(year, month + 1)[1]))
+
+
+def _count(days: list[date], metric: str) -> int:
+    """Commits, or under ``active-days`` the distinct UTC days, of one cell."""
+    return len(set(days)) if metric == "active-days" else len(days)
+
+
+def activity(points, alignment: str, months: int, anchor: date | None = None,
+             metric: str = "commits") -> tuple:
+    """(metric, months, period labels, {developer: {label: count}}, overflow) of
+    (developer, timestamp) points, each placed by its UTC day.
+
+    Calendar periods are the half-years ``YYs1`` (January to June) and ``YYs2`` from
+    the earliest point's to the latest's. Rolling periods are the windows [start, end)
+    of ``months`` walked back from the anchor until one starts on or before the
+    earliest point's day, labeled by their ISO start; a point on or after the anchor
+    is overflow. Only non-zero cells are kept."""
+    points = [(developer, utc_day(timestamp)) for developer, timestamp in points]
+    days = [day for _, day in points]
+    if not days:
+        return metric, months, [], {}, 0
+    if alignment == "calendar":
+        first, last = (day.year * 2 + (day.month > 6) for day in (min(days), max(days)))
+        labels = [f"{half // 2 % 100:02d}s{half % 2 + 1}" for half in range(first, last + 1)]
+
+        def label_of(day: date) -> str:
+            return f"{day.year % 100:02d}s{1 + (day.month > 6)}"
+    else:
+        windows, end = [], anchor
+        while end > min(days):
+            windows.insert(0, (months_before(end, months), end))
+            end = windows[0][0]
+        labels = [start.isoformat() for start, _ in windows]
+
+        def label_of(day: date) -> str | None:
+            return next((start.isoformat() for start, end in windows if start <= day < end), None)
+    cells, overflow = {}, 0
+    for developer, day in points:
+        label = label_of(day)
+        if label is None:
+            overflow += 1
+        else:
+            cells.setdefault(developer, {}).setdefault(label, []).append(day)
+    counts = {developer: {label: _count(found, metric) for label, found in row.items()}
+              for developer, row in cells.items()}
+    return metric, months, labels, counts, overflow
+
+
+def window_activity(points, end: date, months: int, metric: str = "commits") -> dict:
+    """{developer: count} of the (developer, timestamp) points dated in [end - months, end)."""
+    start, cells = months_before(end, months), {}
+    for developer, timestamp in points:
+        if start <= utc_day(timestamp) < end:
+            cells.setdefault(developer, []).append(utc_day(timestamp))
+    return {developer: _count(days, metric) for developer, days in cells.items()}
+
+
+def triangulate(rows, developers) -> tuple[list[tuple[str, str]], list[str]]:
+    """(labels as (developer id, label), exclusion reasons) of survey rows (email,
+    self_class, hours_bucket, survey_date, suspect), in row order.
+
+    A row is excluded as ``suspect`` (``1``, ``true`` or ``yes``, any case), ``empty``
+    (no class and no hours), ``unmatched`` (its email, ignoring case, is no observed
+    email nor primary email of a developer) or ``duplicate`` (its developer has a
+    label), in that order. ``full`` is full-time, ``part`` and ``occasional`` are not,
+    and without a class ``gt40`` or ``40`` hours are full-time."""
+    developer_of = {email: developer_id for developer_id, primary, members in developers
+                    for email in {primary} | {email.lower() for _, email in members} if email}
+    labels, reasons = [], []
+    for email, self_class, hours, _, suspect in ([cell.strip() for cell in row] for row in rows):
+        developer_id = developer_of.get(email.lower())
+        if suspect.lower() in ("1", "true", "yes"):
+            reasons.append("suspect")
+        elif not self_class and not hours:
+            reasons.append("empty")
+        elif developer_id is None:
+            reasons.append("unmatched")
+        elif developer_id in dict(labels):
+            reasons.append("duplicate")
+        else:
+            full = self_class == "full" or (not self_class and hours in ("gt40", "40"))
+            labels.append((developer_id, FULL if full else NON_FULL))
+    return labels, reasons
+
+
+def sweep(counts, labels, theta_max: int | None = None) -> list[tuple]:
+    """(theta, tp, fp, fn, tn, precision, recall, accuracy, F, goodness, fn - fp) for
+    theta 1..theta_max, predicting full-time as activity >= theta, by counting the
+    labels; activity missing from ``counts`` is 0, and ``theta_max`` defaults to one past
+    the highest. Precision, recall and goodness are 1 on a zero denominator, F is 0."""
+    labeled = [(counts.get(developer_id, 0), label == FULL) for developer_id, label, *_ in labels]
+    if theta_max is None:
+        theta_max = max(count for count, _ in labeled) + 1
+    rows = []
+    for theta in range(1, theta_max + 1):
+        tp = sum(1 for count, full in labeled if full and count >= theta)
+        fp = sum(1 for count, full in labeled if not full and count >= theta)
+        fn = sum(1 for count, full in labeled if full and count < theta)
+        tn = len(labeled) - tp - fp - fn
+        precision = tp / (tp + fp) if tp + fp else 1.0
+        recall = tp / (tp + fn) if tp + fn else 1.0
+        f_measure = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        goodness = 1.0 - abs(fp - fn) / (tp + fn + fp) if tp + fn + fp else 1.0
+        rows.append((theta, tp, fp, fn, tn, precision, recall, (tp + tn) / len(labeled),
+                     f_measure, goodness, fn - fp))
+    return rows
+
+
+def select(rows, policy: str = "lower-median") -> tuple:
+    """(argmax thetas, (first, last), selected, best goodness, policy): the policy takes
+    the smallest, the largest or the lower median of the thetas of highest goodness."""
+    best = max(row[9] for row in rows)
+    argmax = tuple(row[0] for row in rows if row[9] == best)
+    chosen = {"min": argmax[0], "max": argmax[-1], "lower-median": argmax[(len(argmax) - 1) // 2]}
+    return argmax, (argmax[0], argmax[-1]), chosen[policy], best, policy
+
+
+def sweep_csv(rows) -> str:
+    """``sweep.csv``: a header and one line per row, its five measures to six decimals."""
+    lines = ["theta,tp,fp,fn,tn,precision,recall,accuracy,f_measure,goodness,compensation"]
+    for theta, tp, fp, fn, tn, *measures, compensation in rows:
+        lines.append(",".join([str(n) for n in (theta, tp, fp, fn, tn)]
+                              + [f"{m:.6f}" for m in measures] + [str(compensation)]))
+    return "\n".join(lines) + "\n"
+
+
+def effort(counts, labels, months: int, theta: int) -> tuple:
+    """(theta, months, {label: person-months}, total, upper bound) of a matrix's
+    ``{developer: {label: count}}``: each cell is worth months·min(count, theta)/theta,
+    and the upper bound is ``months`` for each cell with activity."""
+    per_period = {label: sum((Fraction(months * min(row.get(label, 0), theta), theta)
+                              for row in counts.values()), Fraction(0)) for label in labels}
+    active = sum(1 for row in counts.values() for count in row.values() if count >= 1)
+    total = sum(per_period.values(), Fraction(0))
+    return theta, months, per_period, total, Fraction(months * active)
+
+
+def render_quantity(value) -> str:
+    """Two decimals, ties to even: ``round`` of the exact value in hundredths."""
+    cents = round(Fraction(value) * 100)
+    return f"{'-' if cents < 0 else ''}{abs(cents) // 100}.{abs(cents) % 100:02d}"
+
+
+def render_percent(value) -> str:
+    text = render_quantity(value)
+    return ("" if text.startswith("-") else "+") + text + "%"

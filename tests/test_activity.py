@@ -5,12 +5,12 @@ from __future__ import annotations
 import csv
 import io
 import random
-from bisect import bisect_right
 from calendar import monthrange, timegm
 from datetime import date, datetime, timedelta, timezone
 
 import pytest
 
+import reference_model
 from conftest import line_events, timelines
 from vcseffort import activity
 from vcseffort.activity import (
@@ -23,7 +23,6 @@ from vcseffort.activity import (
     _semester_start,
     aggregate,
     date_to_epoch,
-    epoch_to_utc_date,
     rolling_windows,
     semester_index,
     semester_label,
@@ -45,6 +44,20 @@ def commit(i: int, timestamp: int, email: str = "a@x.org") -> CommitRecord:
 
 def simple_assignments(commits):
     return {(c.author_name, c.author_email): c.author_email for c in commits}
+
+
+def _points(commits, assignments=None):
+    """Each commit as (developer, timestamp), the reference model's input."""
+    assignments = assignments or simple_assignments(commits)
+    return [(assignments[c.author_name, c.author_email], c.author_timestamp) for c in commits]
+
+
+def _aggregate_as_model(commits, alignment="calendar", months=6, anchor=None, metric="commits"):
+    """The commits' matrix, asserted to be the reference model's."""
+    spec = PeriodSpec(months, alignment, anchor)
+    matrix = aggregate(timelines(commits), simple_assignments(commits), spec, metric)
+    assert matrix == reference_model.activity(_points(commits), alignment, months, anchor, metric)
+    return matrix
 
 
 def test_subtract_months_clamps_to_month_end():
@@ -292,71 +305,20 @@ def test_period_spec_validation():
         activity_in_window({}, {}, date(2013, 1, 1), 0)
 
 
-def _window_contains(window_start: date, window_end: date, timestamp: int) -> bool:
-    return date_to_epoch(window_start) <= timestamp < date_to_epoch(window_end)
-
-
 def test_rolling_aggregate_matches_interval_oracle():
     """Each commit lands in the unique window whose [start, end) holds its timestamp."""
     rng = random.Random(777)
     for _ in range(40):
         anchor = date(2014, rng.randrange(1, 13), rng.choice([1, 15, 28]))
         months = rng.choice([1, 2, 6, 12])
-        commits = []
-        for i in range(rng.randrange(1, 60)):
-            offset = rng.randrange(-400 * 86400, 30 * 86400)
-            commits.append(
-                commit(i, date_to_epoch(anchor) + offset, f"d{rng.randrange(4)}@x.org")
-            )
-        spec = PeriodSpec(months, "rolling", anchor)
-        matrix = aggregate(timelines(commits), simple_assignments(commits), spec)
-
-        # Rebuild window bounds independently via month subtraction.
-        bounds = {}
-        end = anchor
-        for _ in range(30):
-            start = subtract_months(end, months)
-            bounds[start.isoformat()] = (start, end)
-            end = start
-        recount: dict[tuple[str, str], int] = {}
-        overflow = 0
-        for c in commits:
-            if c.author_timestamp >= date_to_epoch(anchor):
-                overflow += 1
-                continue
-            matches = [
-                label
-                for label, (s, e) in bounds.items()
-                if _window_contains(s, e, c.author_timestamp)
-            ]
-            assert len(matches) == 1
-            key = (c.author_email, matches[0])
-            recount[key] = recount.get(key, 0) + 1
-        assert overflow == matrix.overflow_commits
-        for (developer_id, label), expected in recount.items():
-            assert matrix.cell(developer_id, label) == expected
-        assert matrix.total() == sum(recount.values())
+        low = date_to_epoch(anchor) - 400 * 86400
+        _aggregate_as_model(_random_commits(rng, low, low + 430 * 86400), "rolling", months, anchor)
 
 
 def test_calendar_aggregate_matches_date_oracle():
     rng = random.Random(31337)
     for _ in range(30):
-        commits = [
-            commit(i, rng.randrange(ts(2010, 1, 1), ts(2015, 12, 30)), f"d{rng.randrange(3)}@x.org")
-            for i in range(rng.randrange(1, 50))
-        ]
-        matrix = aggregate(timelines(commits), simple_assignments(commits), PeriodSpec())
-        recount: dict[tuple[str, str], int] = {}
-        for c in commits:
-            day = epoch_to_utc_date(c.author_timestamp)
-            label = f"{day.year % 100:02d}s{1 if day.month <= 6 else 2}"
-            key = (c.author_email, label)
-            recount[key] = recount.get(key, 0) + 1
-        for (developer_id, label), expected in recount.items():
-            assert matrix.cell(developer_id, label) == expected
-        # Labels run contiguously from the earliest to the latest semester.
-        assert len(matrix.period_labels) == len(set(matrix.period_labels))
-        assert matrix.total() == len(commits)
+        _aggregate_as_model(_random_commits(rng, ts(2010, 1, 1), ts(2015, 12, 30), developers=3))
 
 
 def _random_commits(rng: random.Random, low: int, high: int, developers: int = 4):
@@ -366,41 +328,12 @@ def _random_commits(rng: random.Random, low: int, high: int, developers: int = 4
     ]
 
 
-def _day_oracle(commits, label_of) -> dict[tuple[str, str], int]:
-    """Distinct UTC dates per (developer, period), from ``epoch_to_utc_date``."""
-    days: dict[tuple[str, str], set[date]] = {}
-    for c in commits:
-        label = label_of(c.author_timestamp)
-        if label is not None:
-            key = (c.author_email, label)
-            days.setdefault(key, set()).add(epoch_to_utc_date(c.author_timestamp))
-    return {key: len(dates) for key, dates in days.items()}
-
-
-def _assert_matrix_equals(matrix, expected: dict[tuple[str, str], int]) -> None:
-    found = {
-        (developer_id, label): count
-        for developer_id, row in matrix.counts.items()
-        for label, count in row.items()
-    }
-    assert found == expected
-
-
 def test_calendar_active_days_match_date_oracle():
     rng = random.Random(4242)
     for _ in range(30):
         # Forty days around the July 1 boundary, so that many commits share a day.
         commits = _random_commits(rng, ts(2013, 6, 10), ts(2013, 7, 20))
-        matrix = aggregate(
-            timelines(commits), simple_assignments(commits), PeriodSpec(), METRIC_ACTIVE_DAYS
-        )
-
-        def label_of(timestamp):
-            day = epoch_to_utc_date(timestamp)
-            return f"{day.year % 100:02d}s{1 if day.month <= 6 else 2}"
-
-        _assert_matrix_equals(matrix, _day_oracle(commits, label_of))
-        assert matrix.overflow_commits == 0
+        _aggregate_as_model(commits, metric=METRIC_ACTIVE_DAYS)
 
 
 def test_rolling_active_days_match_date_oracle():
@@ -410,26 +343,7 @@ def test_rolling_active_days_match_date_oracle():
         months = rng.choice([1, 2])
         anchor_epoch = date_to_epoch(anchor)
         commits = _random_commits(rng, anchor_epoch - 70 * 86400, anchor_epoch + 10 * 86400)
-        matrix = aggregate(
-            timelines(commits),
-            simple_assignments(commits),
-            PeriodSpec(months, "rolling", anchor),
-            METRIC_ACTIVE_DAYS,
-        )
-
-        def label_of(timestamp):
-            end = anchor
-            while date_to_epoch(end) > timestamp:
-                start = subtract_months(end, months)
-                if _window_contains(start, end, timestamp):
-                    return start.isoformat()
-                end = start
-            return None  # at or after the anchor
-
-        _assert_matrix_equals(matrix, _day_oracle(commits, label_of))
-        assert matrix.overflow_commits == sum(
-            1 for c in commits if c.author_timestamp >= anchor_epoch
-        )
+        _aggregate_as_model(commits, "rolling", months, anchor, METRIC_ACTIVE_DAYS)
 
 
 def test_active_days_at_day_edges_and_before_1970_match_date_oracle():
@@ -447,44 +361,19 @@ def test_active_days_at_day_edges_and_before_1970_match_date_oracle():
         for email, points in stamps.items()
         for i, stamp in enumerate(points)
     ]
-    assignments = {(c.author_name, c.author_email): c.author_email for c in commits}
-    grouped = timelines(commits)
-
-    def semester_of(timestamp):
-        moment = epoch_to_utc_date(timestamp)
-        return f"{moment.year % 100:02d}s{1 if moment.month <= 6 else 2}"
-
-    matrix = aggregate(grouped, assignments, PeriodSpec(), METRIC_ACTIVE_DAYS)
-    _assert_matrix_equals(matrix, _day_oracle(commits, semester_of))
+    matrix = _aggregate_as_model(commits, metric=METRIC_ACTIVE_DAYS)
     assert matrix.cell("one-day@x.org", "13s1") == 1
 
     # The anchor is day k + 1, so 86400·(k + 1) overflows and 86400·(k + 1) − 1 does not.
     anchor = date(2013, 3, 6)
     for months in (1, 12):
-
-        def window_of(timestamp):
-            end = anchor
-            while date_to_epoch(end) > timestamp:
-                start = subtract_months(end, months)
-                if _window_contains(start, end, timestamp):
-                    return start.isoformat()
-                end = start
-            return None
-
-        spec = PeriodSpec(months, "rolling", anchor)
-        matrix = aggregate(grouped, assignments, spec, METRIC_ACTIVE_DAYS)
-        _assert_matrix_equals(matrix, _day_oracle(commits, window_of))
+        matrix = _aggregate_as_model(commits, "rolling", months, anchor, METRIC_ACTIVE_DAYS)
         assert matrix.overflow_commits == 1
 
+    grouped, assignments, points = timelines(commits), simple_assignments(commits), _points(commits)
     for end, months in ((anchor, 1), (date(1970, 1, 2), 24), (date(1970, 1, 1), 1)):
-        start_epoch = date_to_epoch(subtract_months(end, months))
-        end_epoch = date_to_epoch(end)
-        expected: dict[str, set[date]] = {}
-        for c in commits:
-            if start_epoch <= c.author_timestamp < end_epoch:
-                expected.setdefault(c.author_email, set()).add(epoch_to_utc_date(c.author_timestamp))
         found = activity_in_window(grouped, assignments, end, months, METRIC_ACTIVE_DAYS)
-        assert found == {email: len(days) for email, days in expected.items()}
+        assert found == reference_model.window_activity(points, end, months, METRIC_ACTIVE_DAYS)
 
 
 def test_activity_in_window_matches_interval_oracle():
@@ -498,20 +387,10 @@ def test_activity_in_window_matches_interval_oracle():
         commits.append(commit(998, start_epoch, "first-instant@x.org"))
         commits.append(commit(999, end_epoch, "window-end@x.org"))
         assignments = simple_assignments(commits)
-
-        inside = [c for c in commits if start_epoch <= c.author_timestamp < end_epoch]
-        expected_commits: dict[str, int] = {}
-        for c in inside:
-            expected_commits[c.author_email] = expected_commits.get(c.author_email, 0) + 1
-        expected_days = {
-            email: len({epoch_to_utc_date(c.author_timestamp) for c in inside if c.author_email == email})
-            for email in expected_commits
-        }
-        assert activity_in_window(timelines(commits), assignments, end, months) == expected_commits
-        assert (
-            activity_in_window(timelines(commits), assignments, end, months, METRIC_ACTIVE_DAYS)
-            == expected_days
-        )
+        for metric in (METRIC_COMMITS, METRIC_ACTIVE_DAYS):
+            found = activity_in_window(timelines(commits), assignments, end, months, metric)
+            assert found == reference_model.window_activity(_points(commits), end, months, metric)
+            assert found["first-instant@x.org"] == 1 and "window-end@x.org" not in found
 
 
 def test_commit_order_does_not_change_buckets():
@@ -560,53 +439,6 @@ def test_window_start_before_year_one_is_a_parameter_error():
         )
 
 
-def _per_commit_bucket(commits, assignments, bounds, metric):
-    """The per-commit bucketing loop that timelines replaced, kept as the reference."""
-    last = len(bounds) - 1
-    by_day = metric == METRIC_ACTIVE_DAYS
-    windows = [{} for _ in range(last)]
-    seen_days = [set() for _ in range(last)]
-    overflow = 0
-    for commit in commits:
-        timestamp = commit.author_timestamp
-        index = bisect_right(bounds, timestamp) - 1
-        if index == last:
-            overflow += 1
-            continue
-        if index < 0:
-            continue
-        developer_id = assignments[commit.author_name, commit.author_email]
-        if by_day:
-            day = (developer_id, timestamp // 86400)
-            if day in seen_days[index]:
-                continue
-            seen_days[index].add(day)
-        row = windows[index]
-        row[developer_id] = row.get(developer_id, 0) + 1
-    return windows, overflow
-
-
-def _per_commit_aggregate(commits, assignments, spec, metric):
-    if not commits:
-        return ActivityMatrix(metric, spec.length_months, [], {})
-    earliest = min(c.author_timestamp for c in commits)
-    if spec.alignment == "calendar":
-        low = semester_index(epoch_to_utc_date(earliest))
-        high = semester_index(epoch_to_utc_date(max(c.author_timestamp for c in commits)))
-        labels = [semester_label(i) for i in range(low, high + 1)]
-        bounds = [_semester_start(i) for i in range(low, high + 2)]
-    else:
-        windows = rolling_windows(spec.anchor, spec.length_months, earliest)
-        labels = [label for label, _, _ in windows]
-        bounds = [start for _, start, _ in windows] + [date_to_epoch(spec.anchor)]
-    per_window, overflow = _per_commit_bucket(commits, assignments, bounds, metric)
-    counts = {}
-    for label, row in zip(labels, per_window):
-        for developer_id, count in row.items():
-            counts.setdefault(developer_id, {})[label] = count
-    return ActivityMatrix(metric, spec.length_months, labels, counts, overflow)
-
-
 def _multi_pair_log(rng, anchor, months, all_after_anchor=False):
     """Commits of developers with several (name, email) pairs each, and their assignments.
 
@@ -653,16 +485,16 @@ def test_timeline_bucketing_matches_per_commit_loop():
         elif trial % 80 == 20:
             # The last accepted second stretches the calendar span to 99s2: ~16,000 periods.
             commits.append(CommitRecord("last", *next(iter(assignments)), 253402300799, False))
-        grouped = timelines(commits)
-        specs = [PeriodSpec(), PeriodSpec(months, "rolling", anchor)]
+        grouped, points = timelines(commits), _points(commits, assignments)
         for metric in (METRIC_COMMITS, METRIC_ACTIVE_DAYS):
-            for spec in specs:
-                assert aggregate(grouped, assignments, spec, metric) == _per_commit_aggregate(
-                    commits, assignments, spec, metric
+            for alignment in ("calendar", "rolling"):
+                spec = PeriodSpec(6 if alignment == "calendar" else months, alignment, anchor)
+                assert aggregate(grouped, assignments, spec, metric) == reference_model.activity(
+                    points, alignment, spec.length_months, anchor, metric
                 )
-            bounds = [date_to_epoch(subtract_months(anchor, months)), date_to_epoch(anchor)]
-            (expected,), _ = _per_commit_bucket(commits, assignments, bounds, metric)
-            assert activity_in_window(grouped, assignments, anchor, months, metric) == expected
+            assert activity_in_window(grouped, assignments, anchor, months, metric) == (
+                reference_model.window_activity(points, anchor, months, metric)
+            )
 
 
 def test_bucketing_cost_grows_linearly_with_commits_and_windows():

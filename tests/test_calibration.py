@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import csv
-import io
 import random
 
 import pytest
 
+import reference_model
 from conftest import (
     ARGMAX_RANGE,
     EXPECTED_FN,
@@ -46,15 +45,6 @@ def population(full_counts, other_counts):
         counts[f"o{i}"] = value
         labels.append(label(f"o{i}", False))
     return counts, labels
-
-
-def brute_confusion(theta, counts, labels):
-    """Independent recount straight from the definitions."""
-    tp = sum(1 for l in labels if l.label == LABEL_FULL and counts.get(l.developer_id, 0) >= theta)
-    fn = sum(1 for l in labels if l.label == LABEL_FULL and counts.get(l.developer_id, 0) < theta)
-    fp = sum(1 for l in labels if l.label != LABEL_FULL and counts.get(l.developer_id, 0) >= theta)
-    tn = sum(1 for l in labels if l.label != LABEL_FULL and counts.get(l.developer_id, 0) < theta)
-    return tp, fp, fn, tn
 
 
 def test_reference_sweep_confusion_columns(ref_counts, ref_labels):
@@ -203,21 +193,7 @@ def test_sweep_matches_brute_force_oracle():
             [rng.randrange(0, 30) for _ in range(rng.randrange(1, 8))],
             [rng.randrange(0, 30) for _ in range(rng.randrange(1, 20))],
         )
-        metrics = sweep(counts, labels)
-        for m in metrics:
-            tp, fp, fn, tn = brute_confusion(m.theta, counts, labels)
-            assert (m.tp, m.fp, m.fn, m.tn) == (tp, fp, fn, tn)
-            precision = tp / (tp + fp) if tp + fp else 1.0
-            recall = tp / (tp + fn) if tp + fn else 1.0
-            assert m.precision == precision
-            assert m.recall == recall
-            assert m.accuracy == (tp + tn) / (tp + fp + fn + tn)
-            expected_f = (
-                2 * precision * recall / (precision + recall) if precision + recall else 0.0
-            )
-            assert m.f_measure == expected_f
-            involved = tp + fn + fp
-            assert m.goodness == (1.0 - abs(fp - fn) / involved if involved else 1.0)
+        assert sweep(counts, labels) == reference_model.sweep(counts, labels)
 
 
 def test_sweep_matches_per_threshold_oracle():
@@ -235,13 +211,11 @@ def test_sweep_matches_per_threshold_oracle():
         counts["unlabeled"] = rng.randrange(0, 60)
         top = max([counts.get(l.developer_id, 0) for l in labels])
         theta_max = rng.choice([None, 1, top, top + rng.randrange(1, 20)])
-        bound = top + 1 if theta_max is None else theta_max
 
         metrics = sweep(counts, labels, theta_max)
-        oracle = [metrics_at(theta, counts, labels) for theta in range(1, bound + 1)]
-        assert metrics == oracle
+        assert metrics == reference_model.sweep(counts, labels, theta_max)
         for policy in SELECTION_POLICIES:
-            assert select_theta(metrics, policy) == select_theta(oracle, policy)
+            assert select_theta(metrics, policy) == reference_model.select(metrics, policy)
 
 
 def test_confusion_monotone_in_theta():
@@ -268,21 +242,6 @@ def test_sweep_csv_layout(ref_counts, ref_labels):
     assert lines[0] == ",".join(SWEEP_CSV_HEADER)
     assert lines[1] == "1,4,4,0,0,0.500000,1.000000,0.500000,0.666667,0.500000,-4"
     assert len(lines) == 3
-
-
-def _reference_sweep_csv(metrics):
-    """sweep.csv as csv.writer wrote it, every row formatted on its own."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_HEADER)
-    for m in metrics:
-        writer.writerow(
-            [
-                m.theta, m.tp, m.fp, m.fn, m.tn, f"{m.precision:.6f}", f"{m.recall:.6f}",
-                f"{m.accuracy:.6f}", f"{m.f_measure:.6f}", f"{m.goodness:.6f}", m.compensation,
-            ]
-        )
-    return buffer.getvalue()
 
 
 def _stepped_populations():
@@ -318,4 +277,4 @@ def test_sweep_csv_matches_the_csv_writer_rows():
     # Rows not from a sweep: equal confusion counts with other measures, a run that recurs.
     sweeps += [[], [fabricated(1, 0.5), fabricated(2, 0.25), fabricated(3, 0.25), fabricated(4, 0.5)]]
     for metrics in sweeps:
-        assert sweep_to_csv(metrics) == _reference_sweep_csv(metrics)
+        assert sweep_to_csv(metrics) == reference_model.sweep_csv(metrics)

@@ -9,6 +9,7 @@ from fractions import Fraction
 
 import pytest
 
+import reference_model
 from conftest import (
     EXPECTED_EFFORT,
     EXPECTED_ERROR,
@@ -96,8 +97,7 @@ def test_upper_bound_equals_effort_at_theta_one():
         months = rng.choice([1, 6, 12])
         matrix = matrix_from(counts, months)
         assert upper_bound(matrix) == project_effort(matrix, 1).total
-        active = sum(1 for row in counts.values() for v in row.values() if v >= 1)
-        assert upper_bound(matrix) == months * active
+        assert upper_bound(matrix) == reference_model.effort(counts, [], months, 1)[4]
 
 
 def test_effort_monotone_and_bounded():
@@ -139,18 +139,8 @@ def test_project_effort_matches_per_cell_oracle():
         matrix = ActivityMatrix("commits", months, labels, counts)
 
         report = project_effort(matrix, theta)
-        expected = {
-            label: sum(
-                (developer_effort(row.get(label, 0), theta, months) for row in counts.values()),
-                Fraction(0),
-            )
-            for label in labels
-        }
-        assert report.per_period == expected
+        assert report == reference_model.effort(counts, labels, months, theta)
         assert list(report.per_period) == labels
-        assert report.total == sum(expected.values(), Fraction(0))
-        assert report.period_months == months
-        assert report.upper_bound == upper_bound(matrix)
 
 
 def test_project_effort_counts_zero_cells_empty_rows_and_unused_labels():
@@ -169,18 +159,8 @@ def test_project_effort_counts_zero_cells_empty_rows_and_unused_labels():
         matrix = ActivityMatrix("commits", months, labels, counts)
 
         report = project_effort(matrix, theta)
-        active = sum(1 for row in counts.values() for count in row.values() if count >= 1)
-        assert report.upper_bound == months * active
-        assert upper_bound(matrix) == months * active
-        expected = {
-            label: sum(
-                (developer_effort(row.get(label, 0), theta, months) for row in counts.values()),
-                Fraction(0),
-            )
-            for label in labels
-        }
-        assert report.per_period == expected
-        assert report.total == sum(expected.values(), Fraction(0))
+        assert report == reference_model.effort(counts, labels, months, theta)
+        assert upper_bound(matrix) == report.upper_bound
 
         cells = [(dev, label) for dev, row in counts.items() for label in row]
         if cells:
@@ -213,37 +193,19 @@ def test_reports_and_error_table_match_per_cell_oracle():
         max_count = max((c for row in counts.values() for c in row.values()), default=0)
         thetas = range(1, max_count + 3)  # every count is some theta; the last two exceed all
 
-        def oracle(theta: int) -> dict[str, Fraction]:
-            return {
-                label: sum(
-                    (developer_effort(row.get(label, 0), theta, months) for row in counts.values()),
-                    Fraction(0),
-                )
-                for label in labels
-            }
-
-        active = sum(1 for row in counts.values() for count in row.values() if count >= 1)
         reports = reports_for_thetas(matrix, thetas)
-        assert [report.theta for report in reports] == list(thetas)
-        for report in reports:
-            expected = oracle(report.theta)
-            assert report.per_period == expected
-            assert list(report.per_period) == labels
-            assert report.total == sum(expected.values(), Fraction(0))
-            assert report.upper_bound == months * active
-            assert report.period_months == months
+        assert reports == [reference_model.effort(counts, labels, months, t) for t in thetas]
+        assert all(list(report.per_period) == labels for report in reports)
 
         selected = rng.choice(thetas)
-        baseline = sum(oracle(selected).values(), Fraction(0))
+        baseline = reports[selected - 1].total
         if baseline == 0:
             with pytest.raises(ParameterError, match="zero total effort"):
                 error_table(matrix, selected, thetas)
             continue
-        errors = error_table(matrix, selected, thetas)
-        assert list(errors) == list(thetas)
-        for theta, error in errors.items():
-            total = sum(oracle(theta).values(), Fraction(0))
-            assert error == (total - baseline) / baseline * 100
+        assert list(error_table(matrix, selected, thetas).items()) == [
+            (report.theta, (report.total - baseline) / baseline * 100) for report in reports
+        ]
 
 
 def test_table_functions_raise_theta_then_period_then_first_negative():
@@ -359,21 +321,6 @@ def test_render_percent_is_signed():
     assert render_percent(Fraction(0)) == "+0.00%"
 
 
-def _reference_render_quantity(value: Fraction) -> str:
-    """The rounding through ``round(Fraction)`` that the integer divmod replaced."""
-    cents = round(Fraction(value) * 100)
-    sign = "-" if cents < 0 else ""
-    magnitude = abs(cents)
-    return f"{sign}{magnitude // 100}.{magnitude % 100:02d}"
-
-
-def _reference_render_percent(value: Fraction) -> str:
-    rendered = _reference_render_quantity(value)
-    if not rendered.startswith("-"):
-        rendered = "+" + rendered
-    return rendered + "%"
-
-
 def test_rendering_matches_the_round_reference():
     rng = random.Random(6262)
     values = [Fraction(k, 200) for k in range(-4000, 4001)]
@@ -384,8 +331,8 @@ def test_rendering_matches_the_round_reference():
     values += [0, 7, -13, 10**15, 2.675, -0.125, 1e-3]
     values += ["1.005", "-2.675", "355/113", Decimal("-0.015"), Decimal("12.345")]
     for value in values:
-        assert render_quantity(value) == _reference_render_quantity(value), value
-        assert render_percent(value) == _reference_render_percent(value), value
+        assert render_quantity(value) == reference_model.render_quantity(value), value
+        assert render_percent(value) == reference_model.render_percent(value), value
 
 
 def test_markdown_report(ref_matrix):

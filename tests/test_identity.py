@@ -3,10 +3,10 @@
 from __future__ import annotations
 
 import random
-import unicodedata
 
 import pytest
 
+import reference_model
 from conftest import line_events, timelines
 from vcseffort import identity
 from vcseffort.errors import ConfigError
@@ -25,6 +25,23 @@ def commit(i: int, name: str, email: str) -> CommitRecord:
 
 def ids_of(roster):
     return [dev.developer_id for dev in roster]
+
+
+def _random_commits(rng: random.Random, names, emails, most: int) -> list[CommitRecord]:
+    """Fewer than ``most`` commits by pairs drawn from the pools, never both fields empty."""
+    commits = []
+    for i in range(rng.randrange(1, most)):
+        name, email = rng.choice(names), rng.choice(emails)
+        commits.append(commit(i, name if name or email else "fallback", email))
+    return commits
+
+
+def _check_against_model(pairs, directives=(), name_merging=False):
+    """The roster and assignments of ``pairs`` are the reference model's developers."""
+    assignments, roster = resolve_identities(pairs, AliasMap(directives), name_merging)
+    assert roster == reference_model.identities(pairs, directives, name_merging)
+    assert assignments == {pair: dev.developer_id for dev in roster for pair in dev.aliases}
+    return assignments, roster
 
 
 def test_same_email_merges_regardless_of_name_and_case():
@@ -63,21 +80,15 @@ def test_normalize_name():
     assert normalize_name("") == ""
 
 
-def _normalize_name_by_nfkd(name: str) -> str:
-    decomposed = unicodedata.normalize("NFKD", name)
-    stripped = "".join(ch for ch in decomposed if not unicodedata.combining(ch))
-    return " ".join(stripped.lower().split())
-
-
 def test_ascii_names_normalize_as_through_nfkd():
     """ASCII names skip the NFKD decomposition; the result is the same."""
     for code in range(0x80):
         for name in (chr(code), f" A{chr(code)}b  C{chr(code)}"):
-            assert normalize_name(name) == _normalize_name_by_nfkd(name), name
+            assert normalize_name(name) == reference_model.normalize_name(name), name
     rng = random.Random(128)
     for _ in range(2000):
         name = "".join(chr(rng.randrange(0x80)) for _ in range(rng.randrange(12)))
-        assert normalize_name(name) == _normalize_name_by_nfkd(name), name
+        assert normalize_name(name) == reference_model.normalize_name(name), name
 
 
 def test_name_merging_is_opt_in():
@@ -162,6 +173,7 @@ def test_load_alias_map(tmp_path):
     path.write_text(
         "alias_email_or_name,canonical_email\n"
         "# old address\n"
+        "# old@x.org,new@x.org\n"
         "old@x.org,new@x.org\n"
         "\n"
         "Ada Byron,new@x.org\n",
@@ -193,102 +205,17 @@ def test_load_alias_map_rejects_an_empty_alias(tmp_path):
         load_alias_map(str(path))
 
 
-def _oracle_components(pairs, directives, name_merging):
-    """Independent grouping: build an adjacency graph and walk components."""
-    nodes = list(pairs)
-    adjacency = {pair: set() for pair in nodes}
-
-    def connect(a, b):
-        adjacency[a].add(b)
-        adjacency[b].add(a)
-
-    by_email = {}
-    by_name = {}
-    for pair in nodes:
-        name, email = pair
-        if email:
-            by_email.setdefault(email.lower(), []).append(pair)
-        if name_merging and normalize_name(name):
-            by_name.setdefault(normalize_name(name), []).append(pair)
-    for bucket in list(by_email.values()) + list(by_name.values()):
-        for other in bucket[1:]:
-            connect(bucket[0], other)
-    canonical_pairs = {}
-    for token, canonical in directives:
-        # A directive pulls matched aliases into the canonical email's group,
-        # which also contains any pair already using that email.
-        members = [
-            pair
-            for pair in nodes
-            if pair[1].lower() == token or pair[0].lower() == token
-            or pair[1].lower() == canonical
-        ]
-        canonical_pairs.setdefault(canonical, []).extend(members)
-    for group in canonical_pairs.values():
-        for other in group[1:]:
-            connect(group[0], other)
-
-    components = []
-    seen = set()
-    for pair in nodes:
-        if pair in seen:
-            continue
-        stack, component = [pair], set()
-        while stack:
-            node = stack.pop()
-            if node in component:
-                continue
-            component.add(node)
-            stack.extend(adjacency[node])
-        seen |= component
-        components.append(component)
-    return components
-
-
 def test_grouping_matches_graph_oracle():
-    """Union-find grouping equals connected components of the merge graph."""
+    """Union-find grouping equals the model's merging until nothing changes."""
     rng = random.Random(4242)
     names = ["Ada", "ada ", "Björn", "bjorn", "Cleo", "Dee", ""]
     emails = ["a@x.org", "A@X.ORG", "b@x.org", "c@x.org", ""]
     for _ in range(60):
-        commits = []
-        for i in range(rng.randrange(1, 25)):
-            name = rng.choice(names)
-            email = rng.choice(emails)
-            if not name and not email:
-                name = "fallback"
-            commits.append(commit(i, name, email))
+        commits = _random_commits(rng, names, emails, 25)
         name_merging = rng.random() < 0.5
         directive_pool = [("ada", "z@x.org"), ("b@x.org", "c@x.org")]
-        directives = tuple(
-            d for d in directive_pool if rng.random() < 0.4
-        )
-        assignments, roster = resolve_identities(
-            timelines(commits), AliasMap(directives), name_merging
-        )
-
-        pairs = []
-        for c in commits:
-            pair = (c.author_name, c.author_email)
-            if pair not in pairs:
-                pairs.append(pair)
-        lowered = tuple((a.lower(), b.lower()) for a, b in directives)
-        components = _oracle_components(pairs, lowered, name_merging)
-
-        assert assignments == {
-            pair: dev.developer_id for dev in roster for pair in dev.aliases
-        }
-        # Same partition: pairs grouped together iff the oracle groups them.
-        oracle_component_of = {}
-        for index, component in enumerate(components):
-            for pair in component:
-                oracle_component_of[pair] = index
-        for first in pairs:
-            for second in pairs:
-                same_ours = assignments[first] == assignments[second]
-                same_oracle = oracle_component_of[first] == oracle_component_of[second]
-                assert same_ours == same_oracle, (first, second, directives, name_merging)
-        assert len(roster) == len(components)
+        directives = tuple(d for d in directive_pool if rng.random() < 0.4)
+        _check_against_model(timelines(commits), directives, name_merging)
 
 
 def test_resolution_is_deterministic():
@@ -324,33 +251,6 @@ def test_long_merge_chain_is_one_developer():
     assert assignments == dict.fromkeys(pairs, "e0@x.org")
 
 
-def _oracle_naming(component, directives):
-    """Developer id of a component: smallest email it holds, else the smallest raw name."""
-    emails = {email.lower() for _, email in component if email}
-    for token, canonical in directives:
-        if any(email.lower() == token or name.lower() == token for name, email in component):
-            emails.add(canonical)
-    if emails:
-        return min(emails), min(emails)
-    return "name:" + min(name for name, _ in component), ""
-
-
-def _check_naming_against_oracle(commits, directives, name_merging):
-    assignments, roster = resolve_identities(timelines(commits), AliasMap(directives), name_merging)
-    pairs = list(dict.fromkeys((c.author_name, c.author_email) for c in commits))
-    lowered = tuple((a.lower(), b.lower()) for a, b in directives)
-    components = _oracle_components(pairs, lowered, name_merging)
-    by_id = {developer.developer_id: developer for developer in roster}
-    assert len(by_id) == len(roster) == len(components)
-    for component in components:
-        developer_id, primary_email = _oracle_naming(component, lowered)
-        developer = by_id[developer_id]
-        assert developer.primary_email == primary_email
-        assert developer.aliases == frozenset(component)
-    assert assignments == {pair: dev.developer_id for dev in roster for pair in dev.aliases}
-    return roster
-
-
 def test_naming_matches_oracle():
     """Each group's id and primary email follow the naming rule, directives included."""
     rng = random.Random(5151)
@@ -365,73 +265,34 @@ def test_naming_matches_oracle():
         ("nobody", "n@x.org"),
     ]
     for _ in range(80):
-        commits = []
-        for i in range(rng.randrange(1, 25)):
-            name = rng.choice(names)
-            email = rng.choice(emails)
-            if not name and not email:
-                name = "fallback"
-            commits.append(commit(i, name, email))
+        commits = _random_commits(rng, names, emails, 25)
         directives = tuple(d for d in directive_pool if rng.random() < 0.5)
-        _check_naming_against_oracle(commits, directives, rng.random() < 0.5)
+        _check_against_model(timelines(commits), directives, rng.random() < 0.5)
 
 
 def test_pair_matched_by_email_and_name_directives_takes_both_canonicals():
     commits = [commit(1, "Dee", "d@x.org"), commit(2, "Eve", "e@x.org")]
     by_email = ("D@X.org", "c@x.org")
     by_name = ("dee", "b@x.org")
-    roster = _check_naming_against_oracle(commits, (by_email, by_name), False)
+    _, roster = _check_against_model(timelines(commits), (by_email, by_name))
     assert [(dev.developer_id, dev.aliases) for dev in roster] == [
         ("b@x.org", frozenset({("Dee", "d@x.org")})),
         ("e@x.org", frozenset({("Eve", "e@x.org")})),
     ]
-    roster = _check_naming_against_oracle(commits, (by_email,), False)
+    _, roster = _check_against_model(timelines(commits), (by_email,))
     assert [dev.developer_id for dev in roster] == ["c@x.org", "e@x.org"]
 
 
 def test_directive_matching_no_pair_adds_no_developer():
     commits = [commit(1, "Dee", "d@x.org"), commit(2, "Nameless", "")]
     directives = (("nobody", "a@x.org"), ("ghost@x.org", "b@x.org"))
-    roster = _check_naming_against_oracle(commits, directives, True)
+    _, roster = _check_against_model(timelines(commits), directives, True)
     assert [dev.developer_id for dev in roster] == ["d@x.org", "name:Nameless"]
-
-
-def _oracle_ids(components, directives):
-    """Each component's (id, primary email) once ids that clash are told apart.
-
-    Only an email-less component can clash, with a component holding the email
-    ``name:<its smallest raw name>``. Such a component gets the smallest n >= 2
-    for which ``<id>#<n>`` is no component's unsuffixed id.
-    """
-    named = [_oracle_naming(component, directives) for component in components]
-    email_ids = {developer_id for developer_id, primary in named if primary}
-    unsuffixed = {developer_id for developer_id, _ in named}
-    ids = []
-    for developer_id, primary in named:
-        if not primary and developer_id in email_ids:
-            candidates = (f"{developer_id}#{n}" for n in range(2, len(named) + 2))
-            developer_id = next(c for c in candidates if c not in unsuffixed)
-        ids.append((developer_id, primary))
-    return ids
-
-
-def _check_ids_against_oracle(commits, directives, name_merging):
-    assignments, roster = resolve_identities(timelines(commits), AliasMap(directives), name_merging)
-    pairs = list(dict.fromkeys((c.author_name, c.author_email) for c in commits))
-    lowered = tuple((a.lower(), b.lower()) for a, b in directives)
-    components = _oracle_components(pairs, lowered, name_merging)
-    expected = sorted(
-        (developer_id, primary, frozenset(component))
-        for component, (developer_id, primary) in zip(components, _oracle_ids(components, lowered))
-    )
-    assert [(dev.developer_id, dev.primary_email, dev.aliases) for dev in roster] == expected
-    assert assignments == {pair: dev.developer_id for dev in roster for pair in dev.aliases}
-    return assignments, roster
 
 
 def test_email_spelled_like_a_name_id_does_not_merge_two_developers():
     commits = [commit(1, "X", "name:bob"), commit(2, "bob", "")]
-    assignments, roster = _check_ids_against_oracle(commits, (), False)
+    assignments, roster = _check_against_model(timelines(commits))
     assert assignments == {("X", "name:bob"): "name:bob", ("bob", ""): "name:bob#2"}
     assert [(dev.developer_id, dev.primary_email) for dev in roster] == [
         ("name:bob", "name:bob"),
@@ -440,13 +301,13 @@ def test_email_spelled_like_a_name_id_does_not_merge_two_developers():
     # The suffix skips every id in use, whichever order the commits come in.
     commits.append(commit(3, "bob#2", ""))
     for order in (commits, commits[::-1], commits[1:] + commits[:1]):
-        assignments, _ = _check_ids_against_oracle(order, (), False)
+        assignments, _ = _check_against_model(timelines(order))
         assert assignments == {
             ("X", "name:bob"): "name:bob", ("bob", ""): "name:bob#3", ("bob#2", ""): "name:bob#2",
         }
     commits += [commit(4, "Y", "name:bob#2"), commit(5, "Z", "name:bob#4")]
     for order in (commits, commits[::-1], commits[1::2] + commits[::2]):
-        assignments, _ = _check_ids_against_oracle(order, (), False)
+        assignments, _ = _check_against_model(timelines(order))
         assert assignments == {
             ("X", "name:bob"): "name:bob", ("bob", ""): "name:bob#3", ("bob#2", ""): "name:bob#2#2",
             ("Y", "name:bob#2"): "name:bob#2", ("Z", "name:bob#4"): "name:bob#4",
@@ -460,16 +321,10 @@ def test_ids_stay_distinct_and_match_oracle():
     emails = ["name:bob", "NAME:BOB", "name:bob#2", "name:ada", "name:cleo", "a@x.org", ""]
     directive_pool = [("cleo", "name:Cleo"), ("a@x.org", "name:bob#3"), ("ada", "z@x.org")]
     for _ in range(150):
-        commits = []
-        for i in range(rng.randrange(1, 20)):
-            name = rng.choice(names)
-            email = rng.choice(emails)
-            if not name and not email:
-                name = "fallback"
-            commits.append(commit(i, name, email))
+        commits = _random_commits(rng, names, emails, 20)
         directives = tuple(d for d in directive_pool if rng.random() < 0.4)
         name_merging = rng.random() < 0.5
-        assignments, roster = _check_ids_against_oracle(commits, directives, name_merging)
+        assignments, roster = _check_against_model(timelines(commits), directives, name_merging)
         assert len({dev.developer_id for dev in roster}) == len(roster)
         shuffled = commits[:]
         rng.shuffle(shuffled)

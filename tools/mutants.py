@@ -17,9 +17,9 @@ that has a ``tests/test_MODULE*.py`` file. Each mutant makes one edit:
 The edit keeps every other line where it was. Mutants are made in a temporary copy of
 the repository without ``.git``, never in the checkout. ``--sample`` draws K
 mutants per module with ``random.Random(seed)``; 0 takes all of them. A mutant is killed
-when ``python tests/golden.py`` fails, or pytest fails over the module's test files and
-``perfbench/test_perfbench.py``, or either runs longer than three times the unmutated
-run plus 10 s. With ``--tests``, pytest runs only the given node ids, and the golden
+when ``python tests/golden.py`` fails, or pytest fails over the module's test files,
+``tests/test_pipeline.py`` and ``perfbench/test_perfbench.py``, or either runs longer than
+three times the unmutated run plus 10 s. With ``--tests``, pytest runs only the given node ids, and the golden
 script does not run. The report gives each module's kill rate and lists the survivors.
 The tool uses the standard library only and is not part of the test suite.
 """
@@ -128,7 +128,8 @@ def _checks(module: str, tests: list[str] | None) -> list[list[str]]:
     if tests:
         return [pytest + tests]
     files = sorted(str(path.relative_to(ROOT)) for path in ROOT.glob(f"tests/test_{module}*.py"))
-    return [[sys.executable, "tests/golden.py"], pytest + files + ["perfbench/test_perfbench.py"]]
+    shared = ["tests/test_pipeline.py", "perfbench/test_perfbench.py"]
+    return [[sys.executable, "tests/golden.py"], pytest + files + shared]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -25,6 +25,8 @@ class CanonicalDeveloper(NamedTuple):
     developer_id: str
     primary_email: str
     aliases: frozenset[tuple[str, str]]  # observed (name, email) pairs
+    # Every lowercased email of the group: observed, or a directive's canonical email.
+    emails: frozenset[str] = frozenset()
 
 
 ALIAS_HEADER = ("alias_email_or_name", "canonical_email")
@@ -94,7 +96,7 @@ def resolve_identities(
     group's email, the first free ``#2``, ``#3``, ... suffix is appended.
 
     Returns ((name, email) -> developer id for every observed pair, roster
-    sorted by developer id).
+    sorted by developer id), each developer with every email of its group.
     """
     canonical_for = _checked_directives(aliases or AliasMap())
     pairs = list(dict.fromkeys(pairs))
@@ -127,12 +129,12 @@ def resolve_identities(
         groups.setdefault(find(index), []).append(pair)
     # Every email a group holds, observed or a directive's canonical email, is
     # a key of by_email; visited in order, the first one per group is its id.
-    emails: dict[int, str] = {}
+    emails: dict[int, list[str]] = {}
     for email in sorted(by_email):
-        emails.setdefault(find(by_email[email]), email)
+        emails.setdefault(find(by_email[email]), []).append(email)
 
     ids = {
-        root: emails[root] if root in emails else "name:" + min(name for name, _ in members)
+        root: emails[root][0] if root in emails else "name:" + min(name for name, _ in members)
         for root, members in groups.items()
     }
     # An email such as "name:bob" can equal an email-less group's id. Such a
@@ -153,7 +155,9 @@ def resolve_identities(
     for root, members in groups.items():
         developer_id = ids[root]
         primary_email = developer_id if root in emails else ""
-        roster.append(CanonicalDeveloper(developer_id, primary_email, frozenset(members)))
+        roster.append(CanonicalDeveloper(
+            developer_id, primary_email, frozenset(members), frozenset(emails.get(root, ()))
+        ))
         for pair in members:
             group_of_pair[pair] = developer_id
 
@@ -162,12 +166,13 @@ def resolve_identities(
 
 
 def email_index(roster: Iterable[CanonicalDeveloper]) -> dict[str, str]:
-    """Map every observed (lowercased) email, plus each primary email, to its developer id."""
+    """Map each developer's emails, its primary email and every observed (lowercased)
+    email to its developer id."""
     index: dict[str, str] = {}
     for developer in roster:
-        if developer.primary_email:
-            index[developer.primary_email] = developer.developer_id
-        for _, email in developer.aliases:
+        for email in developer.emails | {developer.primary_email} | {
+            email.lower() for _, email in developer.aliases
+        }:
             if email:
-                index[email.lower()] = developer.developer_id
+                index[email] = developer.developer_id
     return index

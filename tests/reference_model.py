@@ -14,14 +14,18 @@ stage to it, and ``tests/test_pipeline.py`` holds ``cli.main`` to all of it. The
 - ``triangulate`` labels survey rows; ``sweep``, ``select`` and ``sweep_csv`` count the
   labels at each threshold;
 - ``effort``, ``render_quantity`` and ``render_percent`` sum saturated efforts cell by
-  cell and round them as the README does.
+  cell and round them as the README does;
+- ``representativeness`` compares the surveyed developers with the population at each
+  cutoff, through ``summary`` and the KS test ``ks``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import re
+import sys
 import unicodedata
 from calendar import monthrange
 from datetime import date, datetime, timedelta
@@ -36,6 +40,10 @@ REQUIRED_KEYS = ("hash", "author_name", "author_email", "author_timestamp", "is_
 DEFAULT_BOT_PATTERNS = (r"\bbot\b", "jenkins", "gerrit", "automation")
 
 FULL, NON_FULL = "full-time", "non-full-time"
+
+# The README's *representativeness*.
+DEFAULT_CUTOFFS = (0, 1, 2, 3, 4, 5, 8, 11)
+INSUFFICIENT = "insufficient-data"
 
 
 def log_lines(source: bytes | list[str]) -> list[str]:
@@ -174,7 +182,8 @@ def normalize_name(name: str) -> str:
 
 
 def identities(pairs, directives=(), name_merging: bool = False) -> list[tuple]:
-    """Developers as (id, primary email, frozenset of (name, email) pairs), by id.
+    """Developers as (id, primary email, frozenset of (name, email) pairs, frozenset of
+    the group's emails), by id.
 
     Each pair starts as a group holding its lowercased email, the canonical email of
     each directive naming its email or raw name (ignoring case), and with
@@ -210,7 +219,8 @@ def identities(pairs, directives=(), name_merging: bool = False) -> list[tuple]:
         if not emails and developer_id in with_email:
             suffixed = (f"{developer_id}#{suffix}" for suffix in itertools.count(2))
             developer_id = next(free for free in suffixed if free not in taken)
-        developers.append((developer_id, developer_id if emails else "", frozenset(members)))
+        developers.append((developer_id, developer_id if emails else "", frozenset(members),
+                           frozenset(emails)))
     return sorted(developers)
 
 
@@ -284,12 +294,12 @@ def triangulate(rows, developers) -> tuple[list[tuple[str, str]], list[str]]:
     self_class, hours_bucket, survey_date, suspect), in row order.
 
     A row is excluded as ``suspect`` (``1``, ``true`` or ``yes``, any case), ``empty``
-    (no class and no hours), ``unmatched`` (its email, ignoring case, is no observed
-    email nor primary email of a developer) or ``duplicate`` (its developer has a
-    label), in that order. ``full`` is full-time, ``part`` and ``occasional`` are not,
-    and without a class ``gt40`` or ``40`` hours are full-time."""
-    developer_of = {email: developer_id for developer_id, primary, members in developers
-                    for email in {primary} | {email.lower() for _, email in members} if email}
+    (no class and no hours), ``unmatched`` (its email, ignoring case, is no email of a
+    developer's group) or ``duplicate`` (its developer has a label), in that order.
+    ``full`` is full-time, ``part`` and ``occasional`` are not, and without a class
+    ``gt40`` or ``40`` hours are full-time."""
+    developer_of = {email: developer_id for developer_id, *_, emails in developers
+                    for email in emails}
     labels, reasons = [], []
     for email, self_class, hours, _, suspect in ([cell.strip() for cell in row] for row in rows):
         developer_id = developer_of.get(email.lower())
@@ -368,3 +378,69 @@ def render_quantity(value) -> str:
 def render_percent(value) -> str:
     text = render_quantity(value)
     return ("" if text.startswith("-") else "+") + text + "%"
+
+
+def ks(sample_a, sample_b) -> tuple[float, float]:
+    """(D, p) of two non-empty samples: D is the largest gap, over the pooled values v,
+    between their shares of values <= v, each counted one by one; p is D's asymptotic
+    significance."""
+    d = max(abs(sum(1 for x in sample_a if x <= v) / len(sample_a)
+                - sum(1 for x in sample_b if x <= v) / len(sample_b))
+            for v in {*sample_a, *sample_b})
+    effective = len(sample_a) * len(sample_b) / (len(sample_a) + len(sample_b))
+    return d, ks_significance((math.sqrt(effective) + 0.12 + 0.11 / math.sqrt(effective)) * d)
+
+
+def ks_significance(lam: float) -> float:
+    """2·Σ (-1)^(k-1)·exp(-2k²λ²) up to and including the first term below 1e-12, kept
+    within [the smallest positive float, 1]; 1 when 100 terms pass without one."""
+    total = 0.0
+    for k in range(1, 101):
+        term = math.exp(-2 * lam * lam * k * k)
+        total += term if k % 2 else -term
+        if term < 1e-12:
+            return min(1.0, max(2 * total, sys.float_info.min))
+    return 1.0
+
+
+def summary(counts) -> list[str]:
+    """The cells n, min, q1, median, mean, q3 and max of counts, each number as ``%.6g``,
+    or n 0 and empty cells for no counts. The quartile at p interpolates, in exact
+    fractions, between the sorted counts at the floor and the ceiling of (n - 1)·p."""
+    xs = sorted(counts)
+    n = len(xs)
+    if not xs:
+        return ["0"] + [""] * 6
+
+    def quartile(p: Fraction) -> Fraction:
+        position = (n - 1) * p
+        low, high = xs[math.floor(position)], xs[math.ceil(position)]
+        return low + (position - math.floor(position)) * (high - low)
+
+    numbers = (xs[0], quartile(Fraction(1, 4)), quartile(Fraction(1, 2)), Fraction(sum(xs), n),
+               quartile(Fraction(3, 4)), xs[-1])
+    return [str(n), *(f"{float(number):.6g}" for number in numbers)]
+
+
+def representativeness(counts, population, surveyed, cutoffs=DEFAULT_CUTOFFS,
+                       window_end: str | None = None) -> tuple:
+    """(``representativeness.csv``'s rows, header first, and ``run.json``'s ``result``) of
+    the developer ids in ``population`` and ``surveyed``, each counting
+    ``counts.get(id, 0)``. At each cutoff, in ascending order and once, a group keeps
+    the counts >= it; D and p go on the ``all`` row, or ``insufficient-data`` when
+    either group is empty."""
+    cutoffs, insufficient = sorted(set(cutoffs)), 0
+    groups = [[counts.get(developer_id, 0) for developer_id in ids]
+              for ids in (population, surveyed)]
+    rows = [["cutoff", "population", "n", "min", "q1", "median", "mean", "q3", "max", "D", "p"]]
+    for cutoff in cutoffs:
+        everyone, answered = ([count for count in group if count >= cutoff] for group in groups)
+        if everyone and answered:
+            tests = [f"{number:.6g}" for number in ks(everyone, answered)]
+        else:
+            tests, insufficient = [INSUFFICIENT] * 2, insufficient + 1
+        rows += [[str(cutoff), "all", *summary(everyone), *tests],
+                 [str(cutoff), "surveyed", *summary(answered), "", ""]]
+    return rows, {"cutoffs": cutoffs, "insufficient": insufficient,
+                  "window_end": window_end, "population": len(population),
+                  "surveyed": len(surveyed)}

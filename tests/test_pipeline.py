@@ -1,9 +1,10 @@
 """Every command of ``cli.main`` against the reference model, over seeded configurations.
 
 Each configuration draws a log, a survey, bot patterns and alias directives from small
-pools and runs ``estimate`` or ``calibrate`` in-process. Its exit code, stdout lines,
-stderr, every output file parsed, and ``run.json``'s ``result`` and ``ingest`` must be
-what ``reference_model`` computes from the same inputs by the README's rules.
+pools and runs ``estimate``, ``calibrate`` or ``representativeness`` in-process. Its exit
+code, stdout lines, stderr, every output file parsed, and ``run.json``'s ``result`` and
+``ingest`` must be what ``reference_model`` computes from the same inputs by the README's
+rules.
 """
 
 from __future__ import annotations
@@ -30,8 +31,11 @@ DIRECTIVES = [("ada", "ada@x.org"), ("JG@b.org", "jg@a.org"), ("d@x.org", "zz@x.
 SURVEY_EMAILS = [email for _, email in PEOPLE if email] + [" ADA@x.org", "zz@x.org", "no@x.org"]
 FIRST, LAST = (86400 * (day - date(1970, 1, 1)).days
                for day in (date(2019, 6, 1), date(2021, 3, 1)))
+# The default cutoffs; 0 with one above every count, so that rows are ok and insufficient;
+# and a list out of order with a repeat.
+CUTOFFS = [None, "0,3,1000", "5,2,5"]
 VARIED = ("command", "fmt", "alignment", "metric", "select", "format", "exclude_merges",
-          "name_merging", "bots", "cap")
+          "name_merging", "bots", "cap", "cutoffs")
 
 
 def _log(rng: random.Random, fmt: str) -> bytes:
@@ -51,13 +55,15 @@ def _log(rng: random.Random, fmt: str) -> bytes:
 
 
 def _configuration(rng: random.Random) -> dict:
-    command = rng.choice(["estimate", "estimate", "calibrate"])
-    alignment = "calendar" if command == "calibrate" else rng.choice(["calendar", "rolling"])
+    command = rng.choice(["estimate", "estimate", "calibrate", "representativeness"])
+    alignment = rng.choice(["calendar", "rolling"]) if command == "estimate" else "calendar"
     # The first anchor precedes every commit: rolling runs overflow whole, survey windows are empty.
     anchor = rng.choice([date(2019, 5, 31), date(2020, 8, 31), date(2020, 11, 30),
                          date(2021, 1, 1)])
     theta = rng.randrange(1, 13) if command == "estimate" and rng.random() < 0.5 else None
-    cap = rng.choice(["absent", "below", "above"] if theta else ["absent", "above"])
+    caps = ["absent", "below", "above"] if theta else ["absent", "above"]
+    sweeps = command != "representativeness"
+    cap = rng.choice(caps) if sweeps else "absent"
     fmt = rng.choice(["pipe", "jsonl"])
     survey = [[rng.choice(SURVEY_EMAILS), rng.choice(["full", "part", "occasional", ""]),
                rng.choice(["gt40", "40", "30", "20", "10", "lt5", ""]),
@@ -74,8 +80,9 @@ def _configuration(rng: random.Random) -> dict:
         "survey": None if theta else survey, "theta": theta, "cap": cap,
         "theta_max": {"absent": None, "below": (theta or 2) - 1 or None,
                       "above": (theta or 0) + rng.randrange(1, 9)}[cap],
-        "select": rng.choice(["min", "max", "lower-median"]),
+        "select": rng.choice(["min", "max", "lower-median"]) if sweeps else None,
         "format": rng.choice(["json", "csv", "markdown"]),
+        "cutoffs": None if sweeps else rng.choice(CUTOFFS),
     }
 
 
@@ -85,8 +92,7 @@ def _argv(config: dict, directory) -> list[str]:
     (directory / "log").write_bytes(config["log"])
     argv = [config["command"], "--commits" if config["fmt"] == "jsonl" else "--log",
             str(directory / "log"), "--period-months", str(config["months"]),
-            "--metric", config["metric"], "--select", config["select"],
-            "--out", str(directory / "out")]
+            "--metric", config["metric"], "--out", str(directory / "out")]
     files = {
         "survey": config["survey"] and ["email,self_class,hours_bucket,survey_date,suspect",
                                         *map(",".join, config["survey"])],
@@ -97,7 +103,7 @@ def _argv(config: dict, directory) -> list[str]:
         if lines:
             (directory / name).write_text("\n".join(lines) + "\n", encoding="utf-8")
             argv += [f"--{name}", str(directory / name)]
-    for flag in ("anchor", "theta", "theta_max"):
+    for flag in ("anchor", "theta", "theta_max", "select", "cutoffs"):
         argv += [f"--{flag.replace('_', '-')}", str(config[flag])] if config[flag] else []
     argv += ["--bots", "default"] if config["bots"] == "default" else []
     argv += ["--exclude-merges"] if config["exclude_merges"] else []
@@ -117,7 +123,8 @@ def _expected(config: dict) -> tuple:
     stdout = [f"parsed {len(commits)} commits ({len(malformed)} malformed); "
               f"excluded {bots} bot, {ingest['merge_excluded']} merge"]
     developers = model.identities(timelines, config["directives"], config["name_merging"])
-    developer_of = {pair: developer_id for developer_id, _, pairs in developers for pair in pairs}
+    developer_of = {pair: developer_id for developer_id, _, pairs, _ in developers
+                    for pair in pairs}
     points = [(developer_of[pair], stamp) for pair, stamps in timelines.items() for stamp in stamps]
     months, anchor, metric, theta = (config[key] for key in ("months", "anchor", "metric", "theta"))
     result = {"theta": theta, "theta_provenance": "explicit"}
@@ -127,6 +134,16 @@ def _expected(config: dict) -> tuple:
             return 2, stdout, "error: no survey response matched the developer roster\n", None
         end = anchor or max(date.fromisoformat(row[3]) for row in config["survey"])
         counts = model.window_activity(points, end, months, metric)
+        if config["command"] == "representativeness":
+            cutoffs = config["cutoffs"] and [int(cutoff) for cutoff in config["cutoffs"].split(",")]
+            table, result = model.representativeness(
+                counts, [developer_id for developer_id, *_ in developers],
+                [developer_id for developer_id, _ in labels], cutoffs or model.DEFAULT_CUTOFFS,
+                end.isoformat())
+            stdout.append(f"representativeness: {len(result['cutoffs'])} cutoffs, "
+                          f"{result['insufficient']} insufficient")
+            return 0, stdout, "", {"representativeness.csv": table,
+                                   "run.json": {"result": result, "ingest": ingest}}
         rows = model.sweep(counts, labels, config["theta_max"])
         argmax, (low, high), theta, best, policy = model.select(rows, config["select"])
         full = sum(label == model.FULL for _, label in labels)
@@ -198,7 +215,11 @@ def test_every_command_matches_the_reference_model(tmp_path, capsys):
         written = _outputs(tmp_path / str(index) / "out") if code == 0 else None
         assert (code, out.splitlines(), err, written) == _expected(config), argv
         overflow = written and written["run.json"]["result"].get("overflow_commits")
+        table = (written or {}).get("representativeness.csv", [])
         seen |= {(key, str(config[key])) for key in VARIED}
-        seen |= {("code", code), ("overflow", bool(overflow)), ("theta", config["theta"] is None)}
-    # Each value of each VARIED key, exit codes 0 and 2, overflow or not, theta or survey.
-    assert len(seen) == 30, sorted(seen)
+        seen |= {(config["command"], code), ("overflow", bool(overflow)),
+                 ("theta", config["theta"] is None)}
+        seen |= {("D", row[9] == model.INSUFFICIENT) for row in table[1::2]}
+    # Each value of each VARIED key, exit codes 0 and 2 of each command, overflow or not,
+    # theta or survey, and representativeness rows with a KS test and without one.
+    assert len(seen) == 41, sorted(seen)

@@ -1,4 +1,5 @@
-"""KS statistics against independent oracles, and representativeness reporting."""
+"""KS statistics against the reference model and independent oracles, and
+representativeness reporting."""
 
 from __future__ import annotations
 
@@ -8,26 +9,16 @@ import statistics
 
 import pytest
 
+import reference_model as model
 from vcseffort import stats
 from vcseffort.errors import ParameterError
 from vcseffort.stats import (
     DEFAULT_CUTOFFS,
-    REPRESENTATIVENESS_CSV_HEADER,
     ks_two_sample,
     representativeness_table,
     representativeness_to_csv,
     summarize,
 )
-
-
-def ecdf_oracle_d(sample_a, sample_b) -> float:
-    """Supremum ECDF gap computed by explicit counting."""
-    best = 0.0
-    for value in set(sample_a) | set(sample_b):
-        fa = sum(1 for x in sample_a if x <= value) / len(sample_a)
-        fb = sum(1 for x in sample_b if x <= value) / len(sample_b)
-        best = max(best, abs(fa - fb))
-    return best
 
 
 def test_identical_samples():
@@ -63,10 +54,7 @@ def test_d_matches_counting_oracle():
         n2 = rng.randrange(1, 40)
         a = [rng.randrange(0, 25) for _ in range(n1)]
         b = [rng.randrange(0, 25) for _ in range(n2)]
-        result = ks_two_sample(a, b)
-        assert result.d_statistic == ecdf_oracle_d(a, b)
-        assert 0.0 < result.p_value <= 1.0
-        assert 0.0 <= result.d_statistic <= 1.0
+        assert ks_two_sample(a, b) == (*model.ks(a, b), n1, n2)
 
 
 def test_p_value_monotone_in_d_at_fixed_sizes():
@@ -100,6 +88,9 @@ def test_p_value_formula_pinned():
 def test_p_series_cap_returns_one_near_zero_lambda():
     assert stats._ks_significance(0.0) == 1.0
     assert stats._ks_significance(1e-9) == 1.0
+    # The first term below 1e-12: none of 100 at 0.0370, the 100th at 0.0373, the 99th at 0.0376.
+    for lam in (0.0370, 0.0373, 0.0376):
+        assert stats._ks_significance(lam) == model.ks_significance(lam)
 
 
 def test_p_underflow_clamped_positive():
@@ -152,6 +143,8 @@ def test_default_cutoffs():
 def test_representativeness_requires_subset():
     with pytest.raises(ParameterError, match="not in population"):
         representativeness_table({"a": 1}, {"b": 2})
+    with pytest.raises(ParameterError, match="not in population: b, c, d$"):
+        representativeness_table({"a": 1}, dict.fromkeys("edcb", 2))
 
 
 def test_representativeness_rows_and_insufficient_data():
@@ -173,26 +166,15 @@ def test_representativeness_rows_and_insufficient_data():
 
 
 def test_representativeness_csv_layout():
+    # Cutoff 2 leaves nobody surveyed: its rows are insufficient-data.
     all_counts = {"a": 1, "b": 4}
     rows = representativeness_table(all_counts, {"a": 1}, cutoffs=(0, 2))
-    lines = representativeness_to_csv(rows).splitlines()
-    assert lines[0] == ",".join(REPRESENTATIVENESS_CSV_HEADER)
-    assert len(lines) == 5  # header + two lines per cutoff
-    first_all = lines[1].split(",")
-    assert first_all[0] == "0" and first_all[1] == "all" and first_all[2] == "2"
-    assert first_all[9] != "" and first_all[10] != ""  # D and p on the population line
-    first_surveyed = lines[2].split(",")
-    assert first_surveyed[1] == "surveyed"
-    assert first_surveyed[9] == "" and first_surveyed[10] == ""
-    insufficient_all = lines[3].split(",")
-    assert insufficient_all[9] == "insufficient-data"
-    insufficient_surveyed = lines[4].split(",")
-    assert insufficient_surveyed[2] == "0"  # surveyed side emptied
+    expected, _ = model.representativeness(all_counts, "ab", "a", (0, 2))
+    assert representativeness_to_csv(rows) == "".join(",".join(row) + "\n" for row in expected)
 
 
 def test_ks_result_within_representativeness_matches_direct_call():
     all_counts = {"a": 1, "b": 4, "c": 6}
     surveyed = {"a": 1, "c": 6}
     rows = representativeness_table(all_counts, surveyed, cutoffs=(0,))
-    direct = ks_two_sample([1, 4, 6], [1, 6])
-    assert rows[0].ks == direct
+    assert rows[0].ks == (*model.ks([1, 4, 6], [1, 6]), 3, 2)

@@ -8,7 +8,7 @@ from datetime import date
 import pytest
 
 from vcseffort.errors import IngestionError
-from vcseffort.identity import CanonicalDeveloper
+from vcseffort.identity import AliasMap, CanonicalDeveloper, resolve_identities
 from vcseffort.survey import (
     EXCLUDE_DUPLICATE,
     EXCLUDE_EMPTY,
@@ -142,6 +142,14 @@ def test_email_match_is_case_insensitive_and_covers_aliases():
     )
     assert [label.developer_id for label in labels] == ["a@x.org"]
     assert [e.reason for e in exclusions] == [EXCLUDE_DUPLICATE]
+
+
+def test_response_from_a_directive_canonical_email_matches_its_developer():
+    # The directive joins zz@x.org to Dee's group, which the smaller d@x.org names.
+    _, roster = resolve_identities([("Dee", "d@x.org")], AliasMap((("d@x.org", "zz@x.org"),)))
+    labels, exclusions = triangulate([response("ZZ@x.org", "full", "40")], roster)
+    assert labels == [("d@x.org", LABEL_FULL, PROVENANCE_TRIANGULATED, True)]
+    assert exclusions == []
 
 
 def test_accounting_property():

@@ -153,6 +153,8 @@ def test_noise_rate_is_roughly_respected():
         (dict(label_noise=1.5), "label_noise"),
         (dict(skew_exponent=0.0), "skew_exponent"),
         (dict(skew_exponent=float("nan")), "skew_exponent"),
+        (dict(n_other=-1), "sizes"),
+        (dict(n_other=1, theta_true=1), "theta_true must be >= 2"),
     ],
 )
 def test_invalid_specs_rejected(overrides, message):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import csv
 import io
 from bisect import bisect_left, bisect_right
-from datetime import date, datetime, timezone
+from datetime import date
 from itertools import chain, islice
 from typing import Mapping, NamedTuple, Sequence
 
@@ -37,10 +37,6 @@ def subtract_months(day: date, months: int) -> date:
 def date_to_epoch(day: date) -> int:
     """Midnight UTC at the start of the given day, as epoch seconds."""
     return (day.toordinal() - _EPOCH_ORDINAL) * 86400
-
-
-def epoch_to_utc_date(timestamp: int) -> date:
-    return datetime.fromtimestamp(timestamp, tz=timezone.utc).date()
 
 
 class PeriodSpec(NamedTuple):
@@ -98,25 +94,6 @@ class ActivityMatrix(NamedTuple):
             for label in sorted(row, key=order.__getitem__):
                 write([developer_id, label, row[label]])
         return buffer.getvalue()
-
-
-def semester_index(day: date) -> int:
-    return day.year * 2 + (0 if day.month <= 6 else 1)
-
-
-def semester_label(index: int) -> str:
-    """Half-year label like ``13s2``: two-digit year and semester number."""
-    year, half = divmod(index, 2)
-    return f"{year % 100:02d}s{half + 1}"
-
-
-def _semester_start(index: int) -> int:
-    """Epoch seconds at which a half-year begins: the day after the previous one ends.
-
-    ``date`` cannot hold 10000-01-01, the end of the last half-year ingest accepts.
-    """
-    year, half = divmod(index - 1, 2)
-    return date_to_epoch(date(year, 12, 31) if half else date(year, 6, 30)) + 86400
 
 
 def rolling_windows(
@@ -211,14 +188,20 @@ def aggregate(
     earliest = min(stamps[0] for stamps in timelines.values())
     if spec.alignment == ALIGNMENT_CALENDAR:
         latest = max(stamps[-1] for stamps in timelines.values())
-        low = semester_index(epoch_to_utc_date(earliest))
-        high = semester_index(epoch_to_utc_date(latest))
-        labels = [semester_label(i) for i in range(low, high + 1)]
-        bounds = [_semester_start(i) for i in range(low, high + 2)]
+        day = date.fromordinal(_EPOCH_ORDINAL + latest // 86400)
+        last = date(day.year, 1 if day.month <= 6 else 7, 1)
+        # The last bound is never written, so it only has to pass the last commit:
+        # ``date`` cannot hold 10000-01-01, where the half-year of MAX_TIMESTAMP ends.
+        end = latest + 1
+        windows = rolling_windows(last, 6, earliest)
+        windows.append((last.isoformat(), date_to_epoch(last), end))
+        # A half-year is labeled like ``13s2``: two-digit year and half from its ISO start.
+        labels = [f"{start[2:4]}s{1 if start[5:7] == '01' else 2}" for start, _, _ in windows]
     else:
+        end = date_to_epoch(spec.anchor)
         windows = rolling_windows(spec.anchor, spec.length_months, earliest)
         labels = [label for label, _, _ in windows]
-        bounds = [start for _, start, _ in windows] + [date_to_epoch(spec.anchor)]
+    bounds = [start for _, start, _ in windows] + [end]
 
     rows, overflow = _bucket(timelines, assignments, bounds, metric)
     counts = {developer: {labels[i]: n for i, n in row.items()} for developer, row in rows.items()}

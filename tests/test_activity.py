@@ -20,12 +20,9 @@ from vcseffort.activity import (
     ActivityMatrix,
     PeriodSpec,
     activity_in_window,
-    _semester_start,
     aggregate,
     date_to_epoch,
     rolling_windows,
-    semester_index,
-    semester_label,
     subtract_months,
 )
 from vcseffort.cli import main
@@ -91,19 +88,20 @@ def test_date_helpers_match_the_calendar_module():
                     back_month -= 1
                     if back_month == 0:
                         back_year, back_month = back_year - 1, 12
-    # The last half-year ingest accepts starts on 9999-07-01 and ends after MAX_TIMESTAMP.
-    last_half = semester_index(date(9999, 12, 31))
-    assert _semester_start(last_half) == timegm(date(9999, 7, 1).timetuple())
-    assert _semester_start(last_half + 1) == MAX_TIMESTAMP + 1
+    # The last half-year ingest accepts starts on 9999-07-01 and holds MAX_TIMESTAMP.
+    last_half = timegm(date(9999, 7, 1).timetuple())
+    commits = [commit(1, last_half - 1), commit(2, last_half), commit(3, MAX_TIMESTAMP)]
+    matrix = _aggregate_as_model(commits)
+    assert matrix.counts == {"a@x.org": {"99s1": 1, "99s2": 2}}
+    assert matrix.overflow_commits == 0
 
 
 def test_semester_labels():
-    assert semester_label(semester_index(date(2013, 1, 1))) == "13s1"
-    assert semester_label(semester_index(date(2013, 6, 30))) == "13s1"
-    assert semester_label(semester_index(date(2013, 7, 1))) == "13s2"
-    assert semester_label(semester_index(date(2013, 12, 31))) == "13s2"
-    assert semester_label(semester_index(date(2005, 3, 1))) == "05s1"
-    assert semester_label(semester_index(date(1999, 8, 1))) == "99s2"
+    days = [date(2013, 1, 1), date(2013, 6, 30), date(2013, 7, 1), date(2013, 12, 31),
+            date(2005, 3, 1), date(1999, 8, 1)]
+    for day, label in zip(days, ["13s1", "13s1", "13s2", "13s2", "05s1", "99s2"]):
+        commits = [commit(1, date_to_epoch(day))]
+        assert _aggregate_as_model(commits).period_labels == [label]
 
 
 def test_calendar_aggregate_spans_gaps():

@@ -370,6 +370,14 @@ def test_json_report_round_trips(ref_matrix):
     assert rows[1]["per_period_pm"] == {REFERENCE_PERIOD_LABEL: "8.00"}
 
 
+def test_renderers_of_no_reports():
+    assert render_markdown([], 10) == ""
+    assert render_csv([], 10) == "theta,total_pm,error_vs_selected\n"
+    assert json.loads(render_json([], 10)) == {
+        "selected_theta": 10, "period_months": None, "upper_bound_pm": "0.00", "thresholds": [],
+    }
+
+
 def test_renderers_are_stable(ref_matrix):
     reports = reports_for_thetas(ref_matrix, [5, 10])
     errors = error_table(ref_matrix, 10, [5, 10])

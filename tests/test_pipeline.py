@@ -29,8 +29,25 @@ PEOPLE = [
 DIRECTIVES = [("ada", "ada@x.org"), ("JG@b.org", "jg@a.org"), ("d@x.org", "zz@x.org"),
               ("bob", "bob@x.org"), ("cleo|pipe", "name:bob")]
 SURVEY_EMAILS = [email for _, email in PEOPLE if email] + [" ADA@x.org", "zz@x.org", "no@x.org"]
-FIRST, LAST = (86400 * (day - date(1970, 1, 1)).days
-               for day in (date(2019, 6, 1), date(2021, 3, 1)))
+# The first anchor precedes every commit: rolling runs overflow whole, survey windows are empty.
+ANCHORS = [date(2019, 5, 31), date(2020, 8, 31), date(2020, 11, 30), date(2021, 1, 1)]
+ROLLING_MONTHS = [1, 2, 3, 6]
+
+
+def _epoch(day: date) -> int:
+    return 86400 * (day - date(1970, 1, 1)).days
+
+
+FIRST, LAST = _epoch(date(2019, 6, 1)), _epoch(date(2021, 3, 1))
+# Where periods split inside [FIRST, LAST): the second before and the second at the start
+# of each half-year and at each anchor, and the first second of each anchor's last window
+# (2020-08-31 less 6 months is 2020-02-29).
+SPLITS = [date(year, month, 1) for year in (2019, 2020, 2021) for month in (1, 7)] + ANCHORS
+EDGES = sorted(stamp for stamp in {
+    *(_epoch(day) - back for day in SPLITS for back in (0, 1)),
+    *(_epoch(model.months_before(anchor, months)) for anchor in ANCHORS
+      for months in ROLLING_MONTHS),
+} if FIRST <= stamp < LAST)
 # The default cutoffs; 0 with one above every count, so that rows are ok and insufficient;
 # and a list out of order with a repeat.
 CUTOFFS = [None, "0,3,1000", "5,2,5"]
@@ -39,12 +56,16 @@ VARIED = ("command", "fmt", "alignment", "metric", "select", "format", "exclude_
 
 
 def _log(rng: random.Random, fmt: str) -> bytes:
-    """Commits of every person, some merges, and with enough lines a duplicate hash."""
+    """Commits of every person, some merges, one commit at each of the EDGES, and with
+    enough lines a duplicate hash."""
     commits = []
     for name, email in PEOPLE:
         for _ in range(rng.randrange(14)):
             stamp = rng.randrange(FIRST, LAST)
             commits.append((f"c{len(commits)}", name, email, stamp, rng.random() < 0.1))
+    for stamp in EDGES:
+        name, email = PEOPLE[len(commits) % len(PEOPLE)]
+        commits.append((f"c{len(commits)}", name, email, stamp, False))
     rng.shuffle(commits)
     if len(commits) >= 20:
         commits.insert(rng.randrange(len(commits)), commits[0])
@@ -57,9 +78,7 @@ def _log(rng: random.Random, fmt: str) -> bytes:
 def _configuration(rng: random.Random) -> dict:
     command = rng.choice(["estimate", "estimate", "calibrate", "representativeness"])
     alignment = rng.choice(["calendar", "rolling"]) if command == "estimate" else "calendar"
-    # The first anchor precedes every commit: rolling runs overflow whole, survey windows are empty.
-    anchor = rng.choice([date(2019, 5, 31), date(2020, 8, 31), date(2020, 11, 30),
-                         date(2021, 1, 1)])
+    anchor = rng.choice(ANCHORS)
     theta = rng.randrange(1, 13) if command == "estimate" and rng.random() < 0.5 else None
     caps = ["absent", "below", "above"] if theta else ["absent", "above"]
     sweeps = command != "representativeness"
@@ -71,7 +90,7 @@ def _configuration(rng: random.Random) -> dict:
                rng.choice(["", "", "0", "no", "yes", "TRUE"])] for _ in range(rng.randrange(1, 13))]
     return {
         "command": command, "fmt": fmt, "log": _log(rng, fmt), "alignment": alignment,
-        "months": 6 if alignment == "calendar" else rng.choice([1, 2, 3, 6]),
+        "months": 6 if alignment == "calendar" else rng.choice(ROLLING_MONTHS),
         "metric": rng.choice(["commits", "active-days"]),
         "anchor": anchor if alignment == "rolling" or rng.random() < 0.5 else None,
         "bots": rng.choice([None, "default", ("^dee$", "GARC")]),

@@ -14,7 +14,7 @@ import json
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .activity import ActivityMatrix
 from .errors import ParameterError
@@ -32,9 +32,7 @@ def developer_effort(activity: int, theta: int, period_months: int) -> Fraction:
     _check_parameters(theta, period_months)
     if activity < 0:
         raise ParameterError(f"activity must be >= 0, got {activity}")
-    if activity >= theta:
-        return Fraction(period_months)
-    return Fraction(period_months) * Fraction(activity, theta)
+    return Fraction(period_months * min(activity, theta), theta)
 
 
 class EffortReport(NamedTuple):
@@ -163,6 +161,26 @@ def reports_for_thetas(matrix: ActivityMatrix, thetas: Sequence[int]) -> list[Ef
     return [project_effort(curve, theta) for theta in thetas]
 
 
+def _rows(
+    reports: Sequence[EffortReport],
+    selected_theta: int,
+    errors: Mapping[int, Fraction] | None,
+) -> tuple[list[str], Iterator[list]]:
+    """The table's column names, and each report's cells in their order: theta as an int,
+    then the total, each period of ``reports[0]`` and the error, rendered."""
+    labels = list(reports[0].per_period) if reports else []
+    rows = (
+        [
+            report.theta,
+            render_quantity(report.total),
+            *[render_quantity(report.per_period[label]) for label in labels],
+            _error_cell(errors, report.theta, selected_theta),
+        ]
+        for report in reports
+    )
+    return ["theta", "total_pm", *labels, "error_vs_selected"], rows
+
+
 def render_markdown(
     reports: Sequence[EffortReport],
     selected_theta: int,
@@ -171,23 +189,10 @@ def render_markdown(
     """Markdown table: one row per threshold, with per-period columns and the error column."""
     if not reports:
         return ""
-    labels = list(reports[0].per_period)
-    header = ["theta", "total_pm", *labels, "error_vs_selected"]
-    lines = [
-        "| " + " | ".join(header) + " |",
-        "| " + " | ".join("---" for _ in header) + " |",
-    ]
-    for report in reports:
-        cells = [
-            str(report.theta),
-            render_quantity(report.total),
-            *(render_quantity(report.per_period[label]) for label in labels),
-            _error_cell(errors, report.theta, selected_theta),
-        ]
-        lines.append("| " + " | ".join(cells) + " |")
-    lines.append("")
-    lines.append(f"Upper bound: {render_quantity(reports[0].upper_bound)} PM")
-    return "\n".join(lines) + "\n"
+    header, rows = _rows(reports, selected_theta, errors)
+    table = [header, ["---"] * len(header), *rows]
+    text = "".join(f"| {' | '.join(map(str, cells))} |\n" for cells in table)
+    return f"{text}\nUpper bound: {render_quantity(reports[0].upper_bound)} PM\n"
 
 
 def render_csv(
@@ -195,48 +200,12 @@ def render_csv(
     selected_theta: int,
     errors: Mapping[int, Fraction] | None = None,
 ) -> str:
+    header, rows = _rows(reports, selected_theta, errors)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    labels = list(reports[0].per_period) if reports else []
-    writer.writerow(["theta", "total_pm", *labels, "error_vs_selected"])
-    for report in reports:
-        writer.writerow(
-            [
-                report.theta,
-                render_quantity(report.total),
-                *(render_quantity(report.per_period[label]) for label in labels),
-                _error_cell(errors, report.theta, selected_theta),
-            ]
-        )
+    writer.writerow(header)
+    writer.writerows(rows)
     return buffer.getvalue()
-
-
-def report_payload(
-    reports: Sequence[EffortReport],
-    selected_theta: int,
-    errors: Mapping[int, Fraction] | None = None,
-) -> dict:
-    """JSON-ready structure; quantities appear as exact two-decimal strings."""
-    rows = []
-    for report in reports:
-        rows.append(
-            {
-                "theta": report.theta,
-                "total_pm": render_quantity(report.total),
-                "per_period_pm": {
-                    label: render_quantity(value)
-                    for label, value in report.per_period.items()
-                },
-                "error_vs_selected": _error_cell(errors, report.theta, selected_theta),
-            }
-        )
-    payload = {
-        "selected_theta": selected_theta,
-        "period_months": reports[0].period_months if reports else None,
-        "upper_bound_pm": render_quantity(reports[0].upper_bound) if reports else "0.00",
-        "thresholds": rows,
-    }
-    return payload
 
 
 def render_json(
@@ -244,4 +213,21 @@ def render_json(
     selected_theta: int,
     errors: Mapping[int, Fraction] | None = None,
 ) -> str:
-    return json.dumps(report_payload(reports, selected_theta, errors), indent=2, sort_keys=True) + "\n"
+    """JSON object; quantities appear as exact two-decimal strings."""
+    header, rows = _rows(reports, selected_theta, errors)
+    labels = header[2:-1]
+    payload = {
+        "selected_theta": selected_theta,
+        "period_months": reports[0].period_months if reports else None,
+        "upper_bound_pm": render_quantity(reports[0].upper_bound) if reports else "0.00",
+        "thresholds": [
+            {
+                "theta": theta,
+                "total_pm": total,
+                "per_period_pm": dict(zip(labels, periods)),
+                "error_vs_selected": error,
+            }
+            for theta, total, *periods, error in rows
+        ],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"

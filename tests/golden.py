@@ -9,7 +9,10 @@ imports it, and it also runs as a script under any supported interpreter:
     python tests/golden.py
 
 which exits 0 when every digest matches, or 1 after naming the first run and file that
-differ.
+differ. As a script it then also runs
+``test_pipeline.test_every_command_matches_the_reference_model``, with a temporary
+directory and a stand-in for pytest's ``capsys``; a failing assertion there ends it with
+a traceback.
 """
 
 from __future__ import annotations
@@ -255,5 +258,35 @@ def check_all() -> int:
     return 0
 
 
+class _Capture:
+    """pytest's ``capsys`` for one test: ``readouterr`` returns and clears what the
+    redirected streams caught."""
+
+    def __init__(self) -> None:
+        self.out, self.err = io.StringIO(), io.StringIO()
+
+    def readouterr(self) -> tuple[str, str]:
+        captured = self.out.getvalue(), self.err.getvalue()
+        for stream in (self.out, self.err):
+            stream.seek(0)
+            stream.truncate()
+        return captured
+
+
+def check_pipeline() -> None:
+    """Run the pipeline's differential test. It is imported here, so that importing this
+    module loads neither it nor the reference model."""
+    from test_pipeline import test_every_command_matches_the_reference_model
+
+    capture = _Capture()
+    with tempfile.TemporaryDirectory() as directory:
+        with contextlib.redirect_stdout(capture.out), contextlib.redirect_stderr(capture.err):
+            test_every_command_matches_the_reference_model(Path(directory), capture)
+    print(f"the pipeline test passes on Python {sys.version.split()[0]}")
+
+
 if __name__ == "__main__":
-    sys.exit(check_all())
+    code = check_all()
+    if code == 0:
+        check_pipeline()
+    sys.exit(code)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import random
 from decimal import Decimal
@@ -378,8 +380,28 @@ def test_renderers_of_no_reports():
     }
 
 
-def test_renderers_are_stable(ref_matrix):
-    reports = reports_for_thetas(ref_matrix, [5, 10])
-    errors = error_table(ref_matrix, 10, [5, 10])
-    for renderer in (render_markdown, render_csv, render_json):
-        assert renderer(reports, 10, errors) == renderer(reports, 10, errors)
+def test_renderers_are_stable():
+    # Two periods, and error maps that lack theta 12 or are missing altogether: every
+    # format carries the same cells, "--" at the selected theta and "" without an error.
+    matrix = matrix_from({"a": {"p1": 3, "p2": 12}, "b": {"p1": 10}, "c": {"p2": 1}})
+    reports = reports_for_thetas(matrix, [5, 10, 12])
+    header = ["theta", "total_pm", "p1", "p2", "error_vs_selected"]
+    rows = [["5", "16.80", "9.60", "7.20"], ["10", "14.40", "7.80", "6.60"],
+            ["12", "13.00", "6.50", "6.50"]]
+    for errors, error_cells in ((error_table(matrix, 10, [5, 10]), ["+16.67%", "--", ""]),
+                                (None, ["", "--", ""])):
+        expected = [header] + [[*row, cell] for row, cell in zip(rows, error_cells)]
+        for renderer in (render_markdown, render_csv, render_json):
+            assert renderer(reports, 10, errors) == renderer(reports, 10, errors)
+        assert list(csv.reader(io.StringIO(render_csv(reports, 10, errors)))) == expected
+        lines = render_markdown(reports, 10, errors).splitlines()
+        assert lines[1] == "| --- | --- | --- | --- | --- |"
+        assert lines[-2:] == ["", "Upper bound: 24.00 PM"]
+        assert [line[2:-2].split(" | ") for line in lines[:1] + lines[2:-2]] == expected
+        thresholds = json.loads(render_json(reports, 10, errors))["thresholds"]
+        assert [
+            [str(row["theta"]), row["total_pm"], *row["per_period_pm"].values(),
+             row["error_vs_selected"]]
+            for row in thresholds
+        ] == expected[1:]
+        assert all(list(row["per_period_pm"]) == ["p1", "p2"] for row in thresholds)

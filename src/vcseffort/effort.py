@@ -123,8 +123,8 @@ def error_table(
 
 
 def render_quantity(value: Fraction) -> str:
-    """Exact two-decimal rendering with ties to even (1.005 -> '1.00', 1.015 -> '1.02')."""
-    value = Fraction(value)
+    """Exact two-decimal rendering with ties to even (1.005 -> '1.00', 1.015 -> '1.02')
+    of a ``Fraction`` or an ``int``."""
     denominator = value.denominator
     # Floor division leaves 0 <= rest < denominator, for either sign.
     cents, rest = divmod(value.numerator * 100, denominator)

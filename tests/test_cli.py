@@ -19,6 +19,7 @@ import pytest
 
 import reference_model as model
 import vcseffort
+from gitrepo import build_repo, linear
 from golden import (
     GOLDEN_RUNS,
     GOLDEN_SHA256,
@@ -201,31 +202,9 @@ def test_exactly_one_commit_source_required(reference_inputs, tmp_path, capsys):
 
 @pytest.mark.skipif(shutil.which("git") is None, reason="git not installed")
 def test_estimate_reads_directly_from_git_repo(tmp_path, capsys):
+    # Both commits at 2013-01-10T00:00:00Z, in the window before the 2013-02-01 anchor.
     repo = tmp_path / "repo"
-    repo.mkdir()
-    # Pin commit dates so both land in the window before the 2013-02-01 anchor.
-    env = dict(
-        os.environ,
-        GIT_AUTHOR_DATE="2013-01-10T00:00:00 +0000",
-        GIT_COMMITTER_DATE="2013-01-10T00:00:00 +0000",
-    )
-    identity = ["-c", "user.name=Repo Dev", "-c", "user.email=repo@example.org"]
-
-    def git(*args):
-        subprocess.run(
-            ["git", *identity, "-C", str(repo), *args],
-            check=True,
-            capture_output=True,
-            env=env,
-        )
-
-    git("init", "-q")
-    (repo / "a.txt").write_text("one\n")
-    git("add", "a.txt")
-    git("commit", "-q", "-m", "first")
-    (repo / "a.txt").write_text("two\n")
-    git("add", "a.txt")
-    git("commit", "-q", "-m", "second")
+    build_repo(repo, linear([(b"Repo Dev <repo@example.org>", 1_357_776_000)] * 2))
 
     out = tmp_path / "est"
     code, stdout, _ = run(
@@ -244,7 +223,7 @@ def test_repository_without_commits_is_an_io_error(tmp_path, capsys):
     # An empty --log file estimates to 0.00 PM; an unborn branch fails in git log, whose
     # message is localised, so only the prefix is pinned.
     repo = tmp_path / "repo"
-    subprocess.run(["git", "init", "-q", str(repo)], check=True, capture_output=True)
+    build_repo(repo, [])
     out = tmp_path / "est"
     code, stdout, err = run(
         ["estimate", "--repo", str(repo), "--theta", "1", "--out", str(out)], capsys

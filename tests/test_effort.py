@@ -330,8 +330,9 @@ def test_rendering_matches_the_round_reference():
         Fraction(rng.randrange(-10**12, 10**12 + 1), rng.randrange(1, 10**6 + 1))
         for _ in range(2000)
     ]
-    values += [0, 7, -13, 10**15, 2.675, -0.125, 1e-3]
-    values += ["1.005", "-2.675", "355/113", Decimal("-0.015"), Decimal("12.345")]
+    values += [0, 7, -13, 10**15]
+    values += map(Fraction, [2.675, -0.125, 1e-3, "1.005", "-2.675", "355/113",
+                             Decimal("-0.015"), Decimal("12.345")])
     for value in values:
         assert render_quantity(value) == reference_model.render_quantity(value), value
         assert render_percent(value) == reference_model.render_percent(value), value
